@@ -1,6 +1,6 @@
 """Exact supertropical linear algebra with a seeded verification harness."""
 
-from .errors import NotInvertible, OrderTooLarge, RejectionLimit, Singular
+from .errors import InternalError, NotInvertible, OrderTooLarge, RejectionLimit, Singular
 from .scalars import (
     EPS,
     Scalar,

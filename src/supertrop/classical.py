@@ -19,6 +19,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import Singular
+from .scalars import parse_rational
 
 __all__ = [
     "as_rational_matrix",
@@ -258,7 +259,7 @@ def parse_rational_matrix(text: str):
         if len(tokens) != n:
             raise ValueError(f"expected {n} entries per row, got {len(tokens)} in {line!r}")
         try:
-            rows.append([Fraction(tok) for tok in tokens])
-        except (ValueError, ZeroDivisionError) as exc:
+            rows.append([parse_rational(tok) for tok in tokens])
+        except ValueError as exc:
             raise ValueError(f"bad rational token in {line!r}") from exc
     return as_rational_matrix(rows)

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .harness import DEFAULT_PROBS, MODES, TrialConfig, run
-from .errors import RejectionLimit
+from .errors import InternalError, RejectionLimit
 
 __all__ = ["main", "build_parser"]
 
@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tangible,ghost,eps probabilities; exact rationals or decimals "
                              "(default 0.8,0.15,0.05)")
     parser.add_argument("--engine", default="auto", choices=("auto", "brute", "assignment", "both"),
-                        help="determinant engine (auto: brute up to order 8, assignment above)")
+                        help="determinant engine (auto: subset DP up to order 9, assignment above; "
+                             "both: all three engines, cross-checked)")
     parser.add_argument("--allow-singular", action="store_true",
                         help="conjecture mode: keep singular draws and check k >= 1 only (exploratory)")
     parser.add_argument("--input", default=None, metavar="FILE",
@@ -126,6 +127,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"supertrop: input error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"supertrop: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

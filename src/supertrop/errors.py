@@ -15,3 +15,7 @@ class Singular(ValueError):
 
 class RejectionLimit(RuntimeError):
     """Rejection sampling gave up; the trial configuration is degenerate."""
+
+
+class InternalError(RuntimeError):
+    """Two computations that must agree did not: a defect, not a verdict."""

@@ -9,7 +9,8 @@ per-trial records go to ``out`` while the final summary (which carries
 wall-clock time) goes to the diagnostics stream ``err``.
 
 Exit codes: 0 all checks passed, 1 at least one verification failure,
-2 configuration or input errors (decided by the CLI wrapper).
+2 configuration or input errors, 3 an internal inconsistency (decided by
+the CLI wrapper).
 
 Probabilities are exact ``Fraction`` values and sampling happens over their
 common denominator, so entry draws are platform-independent integers.

@@ -1,13 +1,22 @@
 """Square matrices over the supertropical scalars.
 
-Two determinant engines with an identical output contract:
+Three determinant engines with an identical output contract:
 
 * ``det_brute`` folds the semiring sum over all n! permutation products
   (the reference, capped at a configurable order);
+* a subset-DP kernel sums the same permutations row by row over column
+  subsets in O(n 2^n); one pass of prefix and suffix row DPs gives the
+  determinant and every cofactor, and a cycle-cover DP gives every sum of
+  principal minors;
 * ``det_assignment`` solves the max-weight perfect-matching problem on the
   value grid with exact arithmetic, certifies uniqueness of the optimal
   permutation by re-solving with each matched edge forbidden, and derives
   the tangible/ghost tag from uniqueness plus the tags along the optimum.
+
+The ``auto`` engine runs the kernel up to order :data:`DP_CAP` and the
+assignment engine above; ``brute`` and ``assignment`` compute each minor
+separately; ``both`` runs all three and raises :class:`InternalError` on
+any disagreement.
 
 On top of the determinant sit unsigned cofactors, the adjoint (transposed
 cofactor grid), the characteristic coefficients (sums of principal minors),
@@ -22,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import OrderTooLarge, Singular
+from .errors import InternalError, OrderTooLarge, Singular
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_scalar, tangible
 from .scalars import pow as scalar_pow
 
@@ -32,6 +41,7 @@ __all__ = [
     "ConjectureCase",
     "ConjectureReport",
     "BRUTE_CAP",
+    "DP_CAP",
     "det",
     "det_brute",
     "det_assignment",
@@ -46,9 +56,16 @@ __all__ = [
     "format_matrix",
 ]
 
-#: Default order cap for the brute-force engine; above it `det` switches to
-#: the assignment engine.
+#: Default order cap for the brute-force engine (``brute`` and ``both``).
 BRUTE_CAP = 8
+
+#: Largest order at which ``auto`` uses the subset-DP kernel; above it each
+#: determinant goes to the assignment engine.  Per determinant of the default
+#: entry distribution on a 2-vCPU CPython 3.11 host (median of five
+#: alternated repeats over 20 matrices) the kernel took 0.20 ms against
+#: 0.40 ms at n = 8, 0.69 ms against 0.82 ms at n = 9 and 1.5 ms against
+#: 1.1 ms at n = 10.
+DP_CAP = 9
 
 _ENGINES = ("auto", "brute", "assignment", "both")
 
@@ -133,9 +150,6 @@ def _det_brute_cells(cells):
     return Scalar(best_value, best_tag)
 
 
-_INF = float("inf")
-
-
 def _best_assignment(weights):
     """Exact max-weight perfect matching on an n-by-n grid.
 
@@ -156,6 +170,12 @@ def _best_assignment(weights):
         [forbidden_cost if w is None else w_max - w for w in row]
         for row in weights
     ]
+    # Exact infinity.  Costs lie in [0, forbidden_cost].  A phase moves each
+    # potential by at most its shortest-path length, which the direct edge
+    # from the new row (u = 0) to a never-used free column (v = 0) bounds by
+    # forbidden_cost; u only grows and v only shrinks, so no reduced cost
+    # c - u - v ever exceeds (n + 1) * forbidden_cost.
+    inf = (n + 2) * forbidden_cost
 
     # Shortest-augmenting-path assignment with potentials, 1-based arrays.
     u = [0] * (n + 1)
@@ -165,12 +185,12 @@ def _best_assignment(weights):
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [_INF] * (n + 1)
+        minv = [inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = _INF
+            delta = inf
             j1 = 0
             row_cost = cost[i0 - 1]
             for j in range(1, n + 1):
@@ -236,10 +256,175 @@ def _det_assignment_cells(cells):
     return Scalar(best, tag)
 
 
+# ---------------------------------------------------------------------------
+# subset-DP kernel
+#
+# The kernel works on raw cells: ``(value, tag)`` pairs, ``None`` for eps.
+# The semiring is commutative and distributive, so regrouping a permutation
+# sum over subsets gives exactly the brute-force result, ghost tags included,
+# provided every permutation is counted once (addition is not idempotent:
+# a tangible plus itself is a ghost).
+
+_UNIT = (0, 1)
+
+
+def _raw(cells):
+    return [[None if s.tag is None else (s.value, s.tag) for s in row] for row in cells]
+
+
+def _scalar(p):
+    return EPS if p is None else Scalar(p[0], p[1])
+
+
+def _radd(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a[0] > b[0]:
+        return a
+    if b[0] > a[0]:
+        return b
+    return (a[0], 0)
+
+
+def _prefix_dp(raw):
+    """``f[S]``: the sum over the assignments of rows ``0..|S|-1`` onto the
+    column set ``S``; ``f[full]`` is the determinant.  O(n 2^n)."""
+    n = len(raw)
+    f = [None] * (1 << n)
+    f[0] = _UNIT
+    for S in range(1, 1 << n):
+        row = raw[S.bit_count() - 1]
+        best = None
+        m = S
+        while m:
+            low = m & -m
+            m ^= low
+            prev = f[S ^ low]
+            e = row[low.bit_length() - 1]
+            if prev is None or e is None:
+                continue
+            v = prev[0] + e[0]
+            if best is None or v > best:
+                best = v
+                tag = prev[1] & e[1]
+            elif v == best:
+                tag = 0
+        if best is not None:
+            f[S] = (best, tag)
+    return f
+
+
+def _cofactor_dp(raw):
+    """Determinant and every cofactor from one prefix and one suffix row DP.
+
+    ``cof[i][j]`` deletes row ``i`` and column ``j``: rows above ``i`` take a
+    column set ``S`` and rows below take the rest of the columns but ``j``.
+    O(n 2^n).
+    """
+    n = len(raw)
+    full = (1 << n) - 1
+    P = _prefix_dp(raw)
+    Q = _prefix_dp(raw[::-1])  # Q[T]: the last |T| rows onto the columns T
+    cof = [[None] * n for _ in range(n)]
+    for S in range(full):
+        p = P[S]
+        if p is None:
+            continue
+        row = cof[S.bit_count()]
+        rest = full ^ S
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            q = Q[rest ^ low]
+            if q is not None:
+                j = low.bit_length() - 1
+                row[j] = _radd(row[j], (p[0] + q[0], p[1] & q[1]))
+    return P[full], cof
+
+
+def _principal_sums(raw):
+    """``sums[k]``: the sum of all principal k-by-k minors, k = 0..n.
+
+    Each permutation of a subset ``S`` is split into the cycle through the
+    smallest vertex of ``S`` and a permutation of the rest, so it is counted
+    once.  Cycles come from Held-Karp path sums that start at their smallest
+    vertex.  O(n^2 2^n + 3^n).
+    """
+    n = len(raw)
+    size = 1 << n
+    full = size - 1
+    cyc = [None] * size  # cyc[C]: sum over the cyclic permutations of C
+    paths = [None] * size  # paths[C][v]: paths from min(C) through C to v
+    for s in range(n):
+        sbit = 1 << s
+        above = full ^ ((sbit << 1) - 1)
+        paths[sbit] = {s: _UNIT}
+        for m in range(1 << (n - s - 1)):
+            C = sbit | (m << (s + 1))
+            ends = paths[C]
+            if ends is None:
+                continue
+            total = None
+            free = above & ~C
+            for v, p in ends.items():
+                row = raw[v]
+                e = row[s]
+                if e is not None:
+                    total = _radd(total, (p[0] + e[0], p[1] & e[1]))
+                f = free
+                while f:
+                    low = f & -f
+                    f ^= low
+                    w = low.bit_length() - 1
+                    e = row[w]
+                    if e is None:
+                        continue
+                    nxt = paths[C | low]
+                    if nxt is None:
+                        nxt = paths[C | low] = {}
+                    nxt[w] = _radd(nxt.get(w), (p[0] + e[0], p[1] & e[1]))
+            cyc[C] = total
+    g = [None] * size  # g[S]: the principal minor on S
+    g[0] = _UNIT
+    sums = [None] * (n + 1)
+    sums[0] = _UNIT
+    for S in range(1, size):
+        low = S & -S
+        rest = S ^ low
+        sub = rest
+        best = None
+        while True:
+            c = cyc[low | sub]
+            if c is not None:
+                r = g[rest ^ sub]
+                if r is not None:
+                    v = c[0] + r[0]
+                    if best is None or v > best:
+                        best = v
+                        tag = c[1] & r[1]
+                    elif v == best:
+                        tag = 0
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        if best is not None:
+            g[S] = (best, tag)
+            k = S.bit_count()
+            sums[k] = _radd(sums[k], g[S])
+    return sums
+
+
+def _det_dp_cells(cells):
+    return _scalar(_prefix_dp(_raw(cells))[-1])
+
+
 def _det_cells(cells, engine, cap):
     if engine == "auto":
-        if len(cells) <= cap:
-            return _det_brute_cells(cells)
+        if len(cells) <= DP_CAP:
+            return _det_dp_cells(cells)
         return _det_assignment_cells(cells)
     if engine == "brute":
         if len(cells) > cap:
@@ -250,12 +435,27 @@ def _det_cells(cells, engine, cap):
     if engine == "both":
         if len(cells) > cap:
             raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
+        d = _det_dp_cells(cells)
         b = _det_brute_cells(cells)
         a = _det_assignment_cells(cells)
-        if a != b:
-            raise RuntimeError(f"determinant engines disagree: brute={b.token} assignment={a.token}")
-        return b
+        if not d == b == a:
+            raise InternalError(
+                f"determinant engines disagree: dp={d.token} brute={b.token} assignment={a.token}"
+            )
+        return d
     raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+
+
+def _batched(engine, n):
+    """Whether ``engine`` takes a whole family of minors from one kernel pass."""
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    return engine == "both" or (engine == "auto" and n <= DP_CAP)
+
+
+def _agree(what, kernel, per_minor):
+    if kernel != per_minor:
+        raise InternalError(f"{what} disagree: kernel {kernel!r}, per-minor {per_minor!r}")
 
 
 def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
@@ -273,8 +473,10 @@ def det_assignment(A: Matrix) -> Scalar:
 def det(A: Matrix, engine: str = "auto", cap: int = BRUTE_CAP) -> Scalar:
     """Determinant with engine selection.
 
-    ``auto`` uses brute force up to ``cap`` and the assignment engine above;
-    ``both`` runs the two engines and raises if they ever disagree.
+    ``auto`` runs the subset-DP kernel up to order :data:`DP_CAP` and the
+    assignment engine above; ``both`` runs the kernel, brute force and the
+    assignment engine and raises :class:`InternalError` if they ever
+    disagree.  ``cap`` bounds the brute-force engine.
     """
     return _det_cells(A.rows, engine, cap)
 
@@ -313,16 +515,35 @@ def cofactor(A: Matrix, i: int, j: int, engine: str = "auto") -> Scalar:
     return _det_cells(cells, engine, BRUTE_CAP)
 
 
-def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
-    """The matrix whose (i, j) entry is the (j, i) cofactor of ``A``."""
+def _adjoint_by_minors(A, engine):
     n = A.n
     return Matrix(
         [[cofactor(A, j + 1, i + 1, engine) for j in range(n)] for i in range(n)]
     )
 
 
-def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
-    """All characteristic coefficients of ``A`` by direct minor enumeration."""
+def _det_and_adjoint(A, engine):
+    """``(det A, adj A)``; one kernel pass where the engine batches."""
+    if not _batched(engine, A.n):
+        return det(A, engine), adjoint(A, engine)
+    n = A.n
+    d, cof = _cofactor_dp(_raw(A.rows))
+    d = _scalar(d)
+    adj = Matrix([[_scalar(cof[j][i]) for j in range(n)] for i in range(n)])
+    if engine == "both":
+        _agree("determinants", d, det(A, engine))
+        _agree("adjoints", adj, _adjoint_by_minors(A, engine))
+    return d, adj
+
+
+def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
+    """The matrix whose (i, j) entry is the (j, i) cofactor of ``A``."""
+    if _batched(engine, A.n):
+        return _det_and_adjoint(A, engine)[1]
+    return _adjoint_by_minors(A, engine)
+
+
+def _char_poly_by_minors(A, engine):
     n = A.n
     rows = A.rows
     coeffs = [tangible(0)]
@@ -335,19 +556,35 @@ def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
     return CharPoly(n, tuple(coeffs))
 
 
+def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
+    """All characteristic coefficients of ``A``: sums of principal minors.
+
+    Where the engine batches, one cycle-cover pass gives every coefficient;
+    otherwise each minor is a separate determinant.
+    """
+    if not _batched(engine, A.n):
+        return _char_poly_by_minors(A, engine)
+    cp = CharPoly(A.n, tuple(_scalar(c) for c in _principal_sums(_raw(A.rows))))
+    if engine == "both":
+        _agree("characteristic coefficients", cp, _char_poly_by_minors(A, engine))
+    return cp
+
+
 def is_nonsingular(A: Matrix, engine: str = "auto") -> bool:
     """True iff the determinant is tangible (equivalently, invertible)."""
     return det(A, engine).is_tangible
 
 
-def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
-    """Adjoint scaled by the inverse determinant; requires a tangible determinant."""
-    d = det(A, engine)
+def _pseudoinverse_from(d, adj):
     if not d.is_tangible:
         raise Singular(f"pseudoinverse needs a tangible determinant, got {d.token}")
     inv = scalar_pow(d, -1)
-    adj = adjoint(A, engine)
     return Matrix([[mul(inv, s) for s in row] for row in adj.rows])
+
+
+def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
+    """Adjoint scaled by the inverse determinant; requires a tangible determinant."""
+    return _pseudoinverse_from(*_det_and_adjoint(A, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +621,16 @@ def conjecture_check(
     ghost-surpasses ``det^(k-1)`` times the (n-k)-th coefficient of ``A``.
 
     The equivalent pseudoinverse form ``det * chi_k(pinv A) |= chi_{n-k}(A)``
-    is evaluated alongside and must agree case by case; a disagreement is an
-    internal error, not a verification failure.
+    is evaluated alongside, from the same determinant and adjoint, and must
+    agree case by case; a disagreement raises :class:`InternalError`, it is
+    not a verification failure.
 
     With ``allow_singular`` the check runs on singular matrices too, skipping
     k = 0 (which needs the inverse determinant) and the pseudoinverse form.
     This path is exploratory: no correctness claim attaches to it.
     """
     n = A.n
-    d = det(A, engine)
+    d, adj = _det_and_adjoint(A, engine)
     singular = not d.is_tangible
     if singular and not allow_singular:
         raise Singular(f"surpassing check needs a non-singular matrix, determinant is {d.token}")
@@ -408,9 +646,9 @@ def conjecture_check(
         k_list = [k for k in k_list if k >= 1]
 
     chi = char_poly(A, engine)
-    chi_adj = char_poly(adjoint(A, engine), engine)
+    chi_adj = char_poly(adj, engine)
     if not singular:
-        chi_pinv = char_poly(pseudoinverse(A, engine), engine)
+        chi_pinv = char_poly(_pseudoinverse_from(d, adj), engine)
 
     cases = []
     for k in k_list:
@@ -420,7 +658,7 @@ def conjecture_check(
         if not singular:
             alt = ghost_surpasses(mul(d, chi_pinv.coeffs[k]), chi.coeffs[n - k])
             if alt != holds:
-                raise RuntimeError(
+                raise InternalError(
                     f"equivalent surpassing forms disagree at k={k}: "
                     f"adjoint form {holds}, pseudoinverse form {alt}"
                 )

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OrderTooLarge, Singular
+from .errors import InternalError, OrderTooLarge, Singular
 from .matrices import Matrix, is_nonsingular
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
 
@@ -279,7 +279,7 @@ def build_beta(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
     beta = poly_mul(beta, chi_poly(n, n - k))
     by_tuples = _beta_by_tuples(n, k)
     if beta != by_tuples:
-        raise RuntimeError(
+        raise InternalError(
             f"beta constructions disagree at (n={n}, k={k}): "
             f"{len(beta)} vs {len(by_tuples)} terms"
         )

@@ -13,6 +13,7 @@ Text encoding, used everywhere a scalar crosses a process boundary:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import NotInvertible
@@ -30,11 +31,16 @@ __all__ = [
     "tangible",
     "ghost",
     "parse_scalar",
+    "parse_rational",
     "format_scalar",
 ]
 
 _TANGIBLE = 1
 _GHOST = 0
+
+# Integers and fractions only: ``Fraction`` on its own would also take
+# decimals, exponents, underscores and a leading ``+``.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _canonical(value):
@@ -192,6 +198,16 @@ def format_scalar(a: Scalar) -> str:
     return a.token
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse ``-?digits(/digits)?``; raises ValueError on anything else."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational {text!r}") from exc
+
+
 def parse_scalar(token: str) -> Scalar:
     """Inverse of :func:`format_scalar`; raises ValueError on malformed input."""
     token = token.strip()
@@ -200,7 +216,7 @@ def parse_scalar(token: str) -> Scalar:
     if len(token) < 2 or token[-1] not in "tg":
         raise ValueError(f"bad scalar token {token!r}")
     try:
-        value = Fraction(token[:-1])
-    except (ValueError, ZeroDivisionError) as exc:
+        value = parse_rational(token[:-1])
+    except ValueError as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
     return Scalar(value, _TANGIBLE if token[-1] == "t" else _GHOST)

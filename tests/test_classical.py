@@ -172,7 +172,19 @@ class TestParsing:
         M = parse_rational_matrix("2\n3 0\n1/2 -4\n")
         assert M == ((3, 0), (Fraction(1, 2), -4))
 
-    @pytest.mark.parametrize("text", ["", "2\n1 2\n", "1\nx\n", "2\n1 2 3\n4 5 6\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "2\n1 2\n",
+            "1\nx\n",
+            "2\n1 2 3\n4 5 6\n",
+            "1\n1e5\n",
+            "1\n0.5\n",
+            "1\n1_000\n",
+            "1\n+3\n",
+        ],
+    )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_rational_matrix(text)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supertrop import matrices, tangible
 from supertrop.cli import main, parse_ks, parse_n_range, parse_probs
 
 
@@ -91,6 +92,13 @@ class TestMain:
     def test_bad_threads_env_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("SUPERTROP_THREADS", "many")
         assert main(["--mode", "conjecture", "--trials", "1"]) == 2
+
+    def test_engine_disagreement_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(matrices, "_det_assignment_cells", lambda cells: tangible(999))
+        code = main(["--mode", "conjecture", "--n", "2", "--trials", "1", "--engine", "both"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("supertrop: internal error: determinant engines disagree")
 
     def test_pretty(self, capsys):
         code = main(["--mode", "bench", "--n", "2", "--trials", "1", "--format", "pretty"])

@@ -4,6 +4,7 @@ import pytest
 
 from supertrop import (
     EPS,
+    InternalError,
     Matrix,
     OrderTooLarge,
     Singular,
@@ -25,6 +26,7 @@ from supertrop import (
     pseudoinverse,
     tangible,
 )
+from supertrop import matrices
 from supertrop.harness import DEFAULT_PROBS, random_matrix
 from supertrop.rng import Xorshift64Star
 
@@ -35,6 +37,15 @@ TIED = parse_matrix("2\n1t 2t\n0t 1t\n")
 def seeded_matrices(seed, count, n, bound=6, probs=DEFAULT_PROBS):
     rng = Xorshift64Star(seed)
     return [random_matrix(rng, n, bound, probs) for _ in range(count)]
+
+
+def assert_engines_agree(M):
+    """The kernel's det, batched adjoint and char_poly equal the per-minor
+    brute-force results exactly, and the assignment engine's det does too."""
+    d = det_brute(M)
+    assert det(M) == d == det_assignment(M), M
+    assert adjoint(M) == adjoint(M, engine="brute"), M
+    assert char_poly(M) == char_poly(M, engine="brute"), M
 
 
 class TestDeterminants:
@@ -63,23 +74,50 @@ class TestDeterminants:
         assert det_brute(M, cap=9) == tangible(0)
         with pytest.raises(OrderTooLarge):
             det(M, engine="brute")
-        assert det(M) == tangible(0)  # auto switches to the assignment engine
+        assert det(M) == tangible(0)  # auto is not bound by the brute-force cap
+
+    def test_auto_crossover(self, monkeypatch):
+        sizes = []
+        real = matrices._det_assignment_cells
+        monkeypatch.setattr(
+            matrices, "_det_assignment_cells", lambda cells: sizes.append(len(cells)) or real(cells)
+        )
+        cap = matrices.DP_CAP
+        assert det(Matrix.identity(cap)) == tangible(0) and sizes == []
+        assert det(Matrix.identity(cap + 1)) == tangible(0) and sizes == [cap + 1]
 
     def test_engine_equivalence_seeded(self):
-        # The brute engine is the oracle for the assignment engine.  Small
-        # bound so that optimal-value ties (the ghosting cases) are common.
-        for n in range(1, 6):
-            for M in seeded_matrices(1000 + n, 40, n, bound=3):
-                assert det_brute(M) == det_assignment(M), M
+        # The brute engine is the oracle for the assignment engine and for
+        # the subset-DP kernel behind ``auto``.  Small bound so that
+        # optimal-value ties (the ghosting cases) are common.
+        for n in range(1, 8):
+            for M in seeded_matrices(1000 + n, 40 if n <= 5 else 20, n, bound=3):
+                assert_engines_agree(M)
 
     def test_engine_equivalence_eps_heavy(self):
         sparse = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
-        for n in range(1, 6):
-            for M in seeded_matrices(2000 + n, 30, n, bound=2, probs=sparse):
-                assert det_brute(M) == det_assignment(M), M
+        for n in range(1, 8):
+            for M in seeded_matrices(2000 + n, 30 if n <= 5 else 20, n, bound=2, probs=sparse):
+                assert_engines_agree(M)
+
+    def test_engine_equivalence_ghost_heavy(self):
+        ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+        for n in range(1, 8):
+            for M in seeded_matrices(3000 + n, 30 if n <= 5 else 20, n, bound=2, probs=ghostly):
+                assert_engines_agree(M)
 
     def test_engine_both_agrees(self):
         assert det(A, engine="both") == tangible(7)
+
+    def test_both_checks_batched_kernel(self, monkeypatch):
+        assert adjoint(A, engine="both") == adjoint(A, engine="brute")
+        assert char_poly(A, engine="both") == char_poly(A, engine="brute")
+        monkeypatch.setattr(matrices, "_principal_sums", lambda raw: [(0, 1)] * (len(raw) + 1))
+        with pytest.raises(InternalError):
+            char_poly(A, engine="both")
+        monkeypatch.setattr(matrices, "_cofactor_dp", lambda raw: ((7, 1), [[(0, 1)] * 2] * 2))
+        with pytest.raises(InternalError):
+            adjoint(A, engine="both")
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
@@ -221,6 +259,15 @@ class TestConjecture:
         report = conjecture_check(TIED, allow_singular=True)
         assert report.singular
         assert {c.k for c in report.cases} == {1, 2}  # k = 0 needs the inverse
+
+    def test_forms_disagreeing_is_an_internal_error(self, monkeypatch):
+        # An all-eps pseudoinverse puts eps where chi_1(A) = 4t, so the
+        # pseudoinverse form fails at k = 1 while the adjoint form holds.
+        monkeypatch.setattr(
+            matrices, "_pseudoinverse_from", lambda d, adj: Matrix([[EPS] * adj.n] * adj.n)
+        )
+        with pytest.raises(InternalError):
+            conjecture_check(A)
 
     def test_k_filter_validation(self):
         with pytest.raises(ValueError):

@@ -184,7 +184,9 @@ class TestSerialization:
     def test_round_trip_random(self, a):
         assert parse_scalar(format_scalar(a)) == a
 
-    @pytest.mark.parametrize("bad", ["", "t", "3", "3x", "1/0t", "e3", "threeT"])
+    @pytest.mark.parametrize(
+        "bad", ["", "t", "3", "3x", "1/0t", "e3", "threeT", "1e5t", "0.5t", "1_000t", "+3t"]
+    )
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_scalar(bad)
