@@ -11,19 +11,21 @@ Examples::
 
 ``--trials`` is the total trial count; trial i uses the i-th order of the
 ``--n`` range, round-robin, so ``--n 1..7 --trials 3500`` runs 500 trials
-per order.  The environment variable ``SUPERTROP_THREADS`` caps worker
-threads (default 1); records are emitted in trial order either way.
+per order.  ``--bound`` is at most ``2**63 - 1`` and the ``--probs`` values
+(``-?digits(/digits)?`` or ``digits.digits``) need a common denominator of at
+most ``2**64``; anything else exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import re
 import sys
 from fractions import Fraction
 
 from .harness import DEFAULT_PROBS, MODES, TrialConfig, run
 from .errors import InternalError, RejectionLimit
+from .scalars import parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -41,7 +43,9 @@ def parse_n_range(text: str):
 
 
 def parse_probs(text: str):
-    parts = [Fraction(p.strip()) for p in text.split(",")]
+    """Three comma-separated ``-?digits(/digits)?`` or ``digits.digits`` values."""
+    parts = [p.strip() for p in text.split(",")]
+    parts = [Fraction(p) if re.fullmatch(r"[0-9]+\.[0-9]+", p) else parse_rational(p) for p in parts]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated probabilities, got {text!r}")
     return tuple(parts)
@@ -88,8 +92,6 @@ def _config_from_args(args) -> TrialConfig:
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as handle:
             input_text = handle.read()
-    threads_env = os.environ.get("SUPERTROP_THREADS")
-    threads = int(threads_env) if threads_env else 1
     cfg = TrialConfig(
         mode=args.mode,
         n_values=parse_n_range(args.n),
@@ -100,7 +102,6 @@ def _config_from_args(args) -> TrialConfig:
         engine=args.engine,
         ks=parse_ks(args.k) if args.k else None,
         allow_singular=args.allow_singular,
-        threads=threads,
         out_format=args.format,
         input_text=input_text,
     )

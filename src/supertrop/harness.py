@@ -8,6 +8,9 @@ streams (bench rows carry timings and are exempt).  For that reason the
 per-trial records go to ``out`` while the final summary (which carries
 wall-clock time) goes to the diagnostics stream ``err``.
 
+Each verification mode is one table entry of three functions (draw a matrix,
+parse an ``--input`` text, build the record) used by one runner loop.
+
 Exit codes: 0 all checks passed, 1 at least one verification failure,
 2 configuration or input errors, 3 an internal inconsistency (decided by
 the CLI wrapper).
@@ -21,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from .errors import RejectionLimit
 from .matrices import (
     Matrix,
     conjecture_check,
+    det,
     det_brute,
     det_assignment,
     is_nonsingular,
@@ -73,7 +76,6 @@ class TrialConfig:
     engine: str = "auto"
     ks: tuple | None = None
     allow_singular: bool = False
-    threads: int = 1
     out_format: str = "jsonl"
     input_text: str | None = None
 
@@ -86,14 +88,17 @@ class TrialConfig:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if self.bound < 1:
             raise ValueError(f"bound must be at least 1, got {self.bound}")
+        # One 64-bit draw picks among at most 2**64 values or entry kinds.
+        if 2 * self.bound + 1 > 2**64:
+            raise ValueError(f"bound must be at most {2**63 - 1}, got {self.bound}")
+        if math.lcm(*(p.denominator for p in self.probs)) > 2**64:
+            raise ValueError("probabilities need a common denominator of at most 2**64")
         if len(self.probs) != 3 or any(p < 0 for p in self.probs) or sum(self.probs) != 1:
             raise ValueError(f"probabilities must be three non-negative values summing to 1, got {self.probs}")
         if self.engine not in ("auto", "brute", "assignment", "both"):
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.ks is not None and any(k < 0 for k in self.ks):
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
         if self.mode == "claims" and max(self.n_values) > SYMBOLIC_CAP:
@@ -103,6 +108,10 @@ class TrialConfig:
 
     def trial_n(self, index: int) -> int:
         return self.n_values[index % len(self.n_values)]
+
+    def k_values(self, lo: int, n: int) -> list:
+        """The k in ``lo..n`` that the ``ks`` filter keeps."""
+        return [k for k in range(lo, n + 1) if self.ks is None or k in self.ks]
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +198,7 @@ def _conjecture_record(cfg, index, A, seed, rejections):
     }
 
 
-def _conjecture_trial(cfg, index):
-    rng = Xorshift64Star(derive_trial_seed(cfg.seed, index))
-    n = cfg.trial_n(index)
-    A, rejections = generate_matrix(rng, n, cfg, require_nonsingular=not cfg.allow_singular)
-    return _conjecture_record(cfg, index, A, str(derive_trial_seed(cfg.seed, index)), rejections)
-
-
-def _detcross_record(index, A, seed, rejections):
+def _detcross_record(cfg, index, A, seed, rejections):
     brute = det_brute(A, cap=max(A.n, 8))
     assignment = det_assignment(A)
     return {
@@ -207,23 +209,14 @@ def _detcross_record(index, A, seed, rejections):
         "matrix": _matrix_json(A),
         "brute": brute.token,
         "assignment": assignment.token,
-        "ok": brute == assignment,
+        "ok": brute == assignment == det(A),
     }
-
-
-def _detcross_trial(cfg, index):
-    rng = Xorshift64Star(derive_trial_seed(cfg.seed, index))
-    n = cfg.trial_n(index)
-    A, rejections = generate_matrix(rng, n, cfg, require_nonsingular=False)
-    return _detcross_record(index, A, str(derive_trial_seed(cfg.seed, index)), rejections)
 
 
 def _claims_symbolic_rows(cfg):
     rows = []
     for n in sorted(set(cfg.n_values)):
-        for k in range(1, n + 1):
-            if cfg.ks is not None and k not in cfg.ks:
-                continue
+        for k in cfg.k_values(1, n):
             r1 = claim1_check(n, k)
             r2 = claim2_check(n, k)
             rows.append(
@@ -245,9 +238,8 @@ def _claims_symbolic_rows(cfg):
 
 def _claims_record(cfg, index, A, seed, rejections):
     n = A.n
-    ks = [k for k in range(1, n + 1) if cfg.ks is None or k in cfg.ks]
     results = []
-    for k in ks:
+    for k in cfg.k_values(1, n):
         c3 = claim3_check(A, k)
         dec = decomposition_checks(A, k)
         results.append(
@@ -272,47 +264,25 @@ def _claims_record(cfg, index, A, seed, rejections):
     }
 
 
-def _claims_trial(cfg, index):
-    rng = Xorshift64Star(derive_trial_seed(cfg.seed, index))
-    n = cfg.trial_n(index)
-    A, rejections = generate_matrix(rng, n, cfg, require_nonsingular=True)
-    return _claims_record(cfg, index, A, str(derive_trial_seed(cfg.seed, index)), rejections)
-
-
-def _oracle_record(cfg, index, X, seed):
+def _oracle_record(cfg, index, X, seed, rejections):
     n = len(X)
     invertible = classical.rat_det(X) != 0
-    jacobi = []
-    for k in range(0 if invertible else 1, n + 1):
-        if cfg.ks is not None and k not in cfg.ks:
-            continue
-        jacobi.append({"k": k, "ok": classical.jacobi_check(X, k)})
+    jacobi = [{"k": k, "ok": classical.jacobi_check(X, k)} for k in cfg.k_values(0 if invertible else 1, n)]
     reciprocal = None
     if invertible:
-        reciprocal = []
-        for k in range(n + 1):
-            if cfg.ks is not None and k not in cfg.ks:
-                continue
-            reciprocal.append({"k": k, "ok": classical.reciprocal_check(X, k)})
+        reciprocal = [{"k": k, "ok": classical.reciprocal_check(X, k)} for k in cfg.k_values(0, n)]
     ok = all(r["ok"] for r in jacobi) and (reciprocal is None or all(r["ok"] for r in reciprocal))
     return {
         "trial": index,
         "seed": seed,
         "n": n,
-        "rejections": 0,
+        "rejections": rejections,
         "matrix": _rational_matrix_json(X),
         "invertible": invertible,
         "jacobi": jacobi,
         "reciprocal": reciprocal,
         "ok": ok,
     }
-
-
-def _oracle_trial(cfg, index):
-    rng = Xorshift64Star(derive_trial_seed(cfg.seed, index))
-    n = cfg.trial_n(index)
-    X = random_rational_matrix(rng, n, cfg.bound)
-    return _oracle_record(cfg, index, X, str(derive_trial_seed(cfg.seed, index)))
 
 
 def _bench_rows(cfg):
@@ -343,29 +313,35 @@ def _bench_rows(cfg):
     return rows
 
 
-_TRIAL_FNS = {
-    "conjecture": _conjecture_trial,
-    "claims": _claims_trial,
-    "detcross": _detcross_trial,
-    "oracle": _oracle_trial,
+def _parse_claims_matrix(text):
+    A = parse_matrix(text)
+    if A.n > SYMBOLIC_CAP:
+        raise ValueError(f"claims mode needs order <= {SYMBOLIC_CAP}, got {A.n}")
+    return A
+
+
+#: Per verification mode: draw ``(matrix, rejections)`` from ``(cfg, rng, n)``,
+#: parse an ``--input`` text into a matrix, and build the trial record.
+_SUITES = {
+    "conjecture": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, not cfg.allow_singular),
+                   parse_matrix, _conjecture_record),
+    "claims": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, True), _parse_claims_matrix, _claims_record),
+    "detcross": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, False), parse_matrix, _detcross_record),
+    "oracle": (lambda cfg, rng, n: (random_rational_matrix(rng, n, cfg.bound), 0),
+               classical.parse_rational_matrix, _oracle_record),
 }
 
 
-def _input_records(cfg):
-    """Run the chosen suite once on an explicitly supplied matrix."""
-    if cfg.mode == "oracle":
-        X = classical.parse_rational_matrix(cfg.input_text)
-        return [_oracle_record(cfg, 0, X, None)]
-    A = parse_matrix(cfg.input_text)
-    if cfg.mode == "conjecture":
-        return [_conjecture_record(cfg, 0, A, None, 0)]
-    if cfg.mode == "detcross":
-        return [_detcross_record(0, A, None, 0)]
-    if cfg.mode == "claims":
-        if A.n > SYMBOLIC_CAP:
-            raise ValueError(f"claims mode needs order <= {SYMBOLIC_CAP}, got {A.n}")
-        return [_claims_record(cfg, 0, A, None, 0)]
-    raise ValueError(f"mode {cfg.mode!r} does not take an input matrix")
+def _trial_records(cfg):
+    """One record for ``--input``, else one per seeded trial, in trial order."""
+    draw, parse, record = _SUITES[cfg.mode]
+    if cfg.input_text is not None:
+        yield record(cfg, 0, parse(cfg.input_text), None, 0)
+        return
+    for index in range(cfg.trials):
+        seed = derive_trial_seed(cfg.seed, index)
+        matrix, rejections = draw(cfg, Xorshift64Star(seed), cfg.trial_n(index))
+        yield record(cfg, index, matrix, str(seed), rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -417,37 +393,18 @@ def run(cfg: TrialConfig, out, err) -> int:
     if cfg.mode == "bench":
         for row in _bench_rows(cfg):
             _emit(cfg, out, row)
-    elif cfg.input_text is not None:
-        for record in _input_records(cfg):
-            trials_run += 1
-            if not record["ok"]:
-                failures += 1
-            _emit(cfg, out, record)
     else:
-        if cfg.mode == "claims":
+        if cfg.mode == "claims" and cfg.input_text is None:
             for row in _claims_symbolic_rows(cfg):
                 if not row["ok"]:
                     symbolic_failures += 1
                 _emit(cfg, out, row)
-        trial_fn = _TRIAL_FNS[cfg.mode]
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [pool.submit(trial_fn, cfg, i) for i in range(cfg.trials)]
-                records = (f.result() for f in futures)
-                for record in records:
-                    trials_run += 1
-                    rejections += record.get("rejections", 0)
-                    if not record["ok"]:
-                        failures += 1
-                    _emit(cfg, out, record)
-        else:
-            for i in range(cfg.trials):
-                record = trial_fn(cfg, i)
-                trials_run += 1
-                rejections += record.get("rejections", 0)
-                if not record["ok"]:
-                    failures += 1
-                _emit(cfg, out, record)
+        for record in _trial_records(cfg):
+            trials_run += 1
+            rejections += record["rejections"]
+            if not record["ok"]:
+                failures += 1
+            _emit(cfg, out, record)
 
     elapsed = round(time.perf_counter() - start, 3)
     summary = {

@@ -36,9 +36,9 @@ class Xorshift64Star:
         return (x * _MULT) & MASK64
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw from ``range(bound)``, unbiased via rejection."""
-        if bound < 1:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform draw from ``range(bound)``, ``bound <= 2**64``, unbiased via rejection."""
+        if not 1 <= bound <= MASK64 + 1:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (MASK64 + 1) - (MASK64 + 1) % bound
         while True:
             u = self.next_u64()

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,9 @@ class TestParsers:
         )
         with pytest.raises(ValueError):
             parse_probs("0.5,0.5")
+        for bad in ("1e-5", "1E2", ".5", "5.", "+0.5", "1_0", "0x1", "nan", "1 / 2"):
+            with pytest.raises(ValueError):
+                parse_probs(f"{bad},0,1")
 
     def test_ks(self):
         assert parse_ks("2") == (2,)
@@ -55,6 +60,15 @@ class TestMain:
 
     def test_bad_probs_exit_2(self, capsys):
         assert main(["--mode", "conjecture", "--probs", "0.9,0.2,0.1"]) == 2
+
+    def test_sampling_limits_exit_2(self, capsys):
+        base = ["--n", "2", "--trials", "1"]
+        for mode in ("conjecture", "oracle"):
+            assert main(["--mode", mode, *base, "--bound", str(2**63)]) == 2
+            assert main(["--mode", mode, *base, "--bound", str(2**63 - 1)]) == 0
+        tiny = f"1/{2**65}"
+        assert main(["--mode", "conjecture", *base, "--probs", f"{tiny},0,{2**65 - 1}/{2**65}"]) == 2
+        assert main(["--mode", "conjecture", *base, "--probs", "1e-5,0,1"]) == 2
 
     def test_missing_input_file_exits_2(self, capsys):
         assert main(["--mode", "conjecture", "--input", "/no/such/file"]) == 2
@@ -80,18 +94,11 @@ class TestMain:
         assert main(["--mode", "conjecture", "--input", str(path)]) == 2
         assert main(["--mode", "conjecture", "--allow-singular", "--input", str(path)]) == 0
 
-    def test_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("SUPERTROP_THREADS", "4")
-        code = main(["--mode", "detcross", "--n", "2", "--trials", "8", "--seed", "3"])
-        assert code == 0
-        threaded = capsys.readouterr().out
-        monkeypatch.delenv("SUPERTROP_THREADS")
-        assert main(["--mode", "detcross", "--n", "2", "--trials", "8", "--seed", "3"]) == 0
-        assert capsys.readouterr().out == threaded
-
-    def test_bad_threads_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("SUPERTROP_THREADS", "many")
-        assert main(["--mode", "conjecture", "--trials", "1"]) == 2
+    def test_claims_input_order_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("5\n" + "0t 0t 0t 0t 0t\n" * 5)
+        assert main(["--mode", "claims", "--input", str(path)]) == 2
+        assert "claims mode needs order <= 4, got 5" in capsys.readouterr().err
 
     def test_engine_disagreement_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(matrices, "_det_assignment_cells", lambda cells: tangible(999))
@@ -104,6 +111,23 @@ class TestMain:
         code = main(["--mode", "bench", "--n", "2", "--trials", "1", "--format", "pretty"])
         assert code == 0
         assert "bench n=2" in capsys.readouterr().out
+
+
+BASELINE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json").read_text()
+)
+
+
+class TestGoldenStdout:
+    """Stdout of each benchmark workload at seed 42 equals the recorded digest."""
+
+    @pytest.mark.parametrize("workload", sorted(BASELINE["workloads"]))
+    def test_seed_42_digest(self, workload, capsys):
+        prog, *argv = BASELINE["workloads"][workload]["argv"].replace("<seed>", "42").split()
+        assert prog == "supertrop"
+        assert main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == BASELINE["stdout_sha256"][workload]["42"]
 
 
 class TestSubprocess:

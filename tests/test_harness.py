@@ -42,15 +42,24 @@ class TestConfig:
             {"mode": "conjecture", "probs": (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))},
             {"mode": "conjecture", "engine": "quantum"},
             {"mode": "conjecture", "ks": (-1,)},
-            {"mode": "conjecture", "threads": 0},
             {"mode": "conjecture", "out_format": "xml"},
             {"mode": "claims", "n_values": (5,)},
             {"mode": "bench", "input_text": "1\n0t\n"},
+            {"mode": "conjecture", "bound": 2**63},
+            {"mode": "oracle", "bound": 2**63},
+            {"mode": "conjecture", "probs": (Fraction(1, 2**65), Fraction(0), 1 - Fraction(1, 2**65))},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
         with pytest.raises(ValueError):
             TrialConfig(**kwargs).validate()
+
+    def test_largest_sampling_parameters_accepted(self):
+        TrialConfig(
+            mode="conjecture",
+            bound=2**63 - 1,
+            probs=(Fraction(1, 2**64), Fraction(0), 1 - Fraction(1, 2**64)),
+        ).validate()
 
     def test_round_robin_orders(self):
         cfg = TrialConfig(mode="conjecture", n_values=(1, 2, 3))
@@ -129,6 +138,17 @@ class TestRun:
         for r in records(out):
             assert r["brute"] == r["assignment"]
 
+    def test_detcross_checks_dp_kernel(self, monkeypatch):
+        from supertrop import matrices
+        from supertrop.scalars import tangible
+
+        monkeypatch.setattr(matrices, "_det_dp_cells", lambda cells: tangible(999))
+        cfg = TrialConfig(mode="detcross", n_values=(2,), trials=1, seed=7)
+        code, out, err = run_capture(cfg)
+        assert code == 1
+        (row,) = records(out)
+        assert row["brute"] == row["assignment"] and not row["ok"]
+
     def test_claims_mode(self):
         cfg = TrialConfig(mode="claims", n_values=(2,), trials=4, seed=9)
         code, out, err = run_capture(cfg)
@@ -172,22 +192,16 @@ class TestRun:
         _, out2, _ = run_capture(cfg)
         assert out1 == out2
 
-    def test_threads_do_not_change_output(self):
-        serial = TrialConfig(mode="detcross", n_values=(2, 3), trials=16, seed=5)
-        threaded = TrialConfig(mode="detcross", n_values=(2, 3), trials=16, seed=5, threads=4)
-        _, out1, _ = run_capture(serial)
-        _, out2, _ = run_capture(threaded)
-        assert out1 == out2
-
     def test_exit_code_one_on_failure(self, monkeypatch):
         # The theorem never fails, so fake a failing trial to pin the
         # exit-code contract.
         import supertrop.harness as harness
 
-        def broken_trial(cfg, index):
+        def broken_record(cfg, index, A, seed, rejections):
             return {"trial": index, "rejections": 0, "ok": index != 1}
 
-        monkeypatch.setitem(harness._TRIAL_FNS, "conjecture", broken_trial)
+        draw, parse, _ = harness._SUITES["conjecture"]
+        monkeypatch.setitem(harness._SUITES, "conjecture", (draw, parse, broken_record))
         cfg = TrialConfig(mode="conjecture", trials=3, seed=1)
         code, out, err = run_capture(cfg)
         assert code == 1

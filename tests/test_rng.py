@@ -29,6 +29,9 @@ class TestXorshift:
         assert set(draws) == set(range(7))
         with pytest.raises(ValueError):
             rng.next_below(0)
+        assert 0 <= rng.next_below(2**64) < 2**64
+        with pytest.raises(ValueError):
+            rng.next_below(2**64 + 1)
 
     def test_next_int_inclusive(self):
         rng = Xorshift64Star(13)
