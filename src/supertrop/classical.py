@@ -1,13 +1,20 @@
 """Exact rational linear algebra: the classical side of the cross-checks.
 
-Everything here runs over ``fractions.Fraction`` so every identity is tested
-as an exact equation.  The two identities of interest:
+Every value is an exact ``fractions.Fraction`` so every identity is tested
+as an exact equation.  Determinants and principal-minor sums scale each row
+to integers by the lcm of its denominators and run Bareiss elimination on
+ints, dividing by the product of the scales once at the end.  The two
+identities of interest:
 
-* ``jacobi_check``: the k-th principal-minor sum of the (signed) adjugate
-  equals ``det^(k-1)`` times the (n-k)-th principal-minor sum of the matrix.
+* Jacobi: the k-th principal-minor sum of the (signed) adjugate equals
+  ``det^(k-1)`` times the (n-k)-th principal-minor sum of the matrix.
   This is a polynomial identity, valid for singular matrices too once k >= 1.
-* ``reciprocal_check``: relates the characteristic coefficients of an
-  invertible matrix to those of its inverse.
+* reciprocal: relates the characteristic coefficients of an invertible
+  matrix to those of its inverse.
+
+:func:`oracle_report` computes ``det(X)``, ``E(X)``, ``E(adj X)`` and
+``E(X^-1)`` once per matrix and checks every k against them;
+``jacobi_check`` and ``reciprocal_check`` read single verdicts from it.
 
 Note the adjugate here carries the classical cofactor signs, unlike the
 unsigned supertropical adjoint in :mod:`supertrop.matrices`.
@@ -15,7 +22,9 @@ unsigned supertropical adjoint in :mod:`supertrop.matrices`.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import Singular
@@ -31,6 +40,8 @@ __all__ = [
     "minor_sums",
     "char_coeffs",
     "charpoly_expand",
+    "OracleReport",
+    "oracle_report",
     "jacobi_check",
     "reciprocal_check",
     "parse_rational_matrix",
@@ -64,29 +75,56 @@ def rat_mat_mul(X, Y):
     )
 
 
-def rat_det(X) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination with row pivoting."""
-    a = [list(row) for row in X]
+def _int_rows(X):
+    """``(rows, scales)``: row i of X times ``scales[i]``, the lcm of its denominators.
+
+    Every entry must be a ``Fraction`` or an ``int``; the scaled rows are
+    lists of ints, fresh so that :func:`_int_det` may consume them.
+    """
+    rows, scales = [], []
+    for row in X:
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _int_det(a) -> int:
+    """Determinant of an integer matrix by Bareiss elimination with row pivoting.
+
+    Every division is exact (Sylvester's identity), so ``//`` keeps the
+    arithmetic on ints.  ``a`` is overwritten.
+    """
     n = len(a)
     sign = 1
-    prev = _ONE
+    prev = 1
     for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
         if pivot_row is None:
-            return _ZERO
+            return 0
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             sign = -sign
-        pivot = a[col][col]
+        top = a[col]
+        pivot = top[col]
         for r in range(col + 1, n):
-            lead = a[r][col]
             row = a[r]
-            top = a[col]
+            lead = row[col]
             for c in range(col + 1, n):
-                row[c] = (row[c] * pivot - lead * top[c]) / prev
-            row[col] = _ZERO
+                row[c] = (row[c] * pivot - lead * top[c]) // prev
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def rat_det(X) -> Fraction:
+    """Determinant by integer Bareiss elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, so no
+    ``Fraction`` arithmetic happens until the one division by the product
+    of the row scales at the end.
+    """
+    rows, scales = _int_rows(X)
+    return Fraction(_int_det(rows), math.prod(scales))
 
 
 def _minor_det(X, skip_row, skip_col):
@@ -112,12 +150,13 @@ def _adjugate_by_cofactors(X):
     )
 
 
-def rat_adjugate(X):
+def rat_adjugate(X, inverse=None):
     """Signed classical adjugate, satisfying ``adj(X) @ X = det(X) * I``.
 
     Cofactor route up to order 5; for larger invertible matrices the cheaper
     ``det(X) * inverse(X)`` route is used (the cofactor route remains the
-    fallback when the determinant vanishes).
+    fallback when the determinant vanishes).  A caller that already holds
+    ``rat_inverse(X)`` passes it as ``inverse``.
     """
     n = len(X)
     if n <= 5:
@@ -125,8 +164,9 @@ def rat_adjugate(X):
     d = rat_det(X)
     if d == 0:
         return _adjugate_by_cofactors(X)
-    inv = rat_inverse(X)
-    return tuple(tuple(d * inv[i][j] for j in range(n)) for i in range(n))
+    if inverse is None:
+        inverse = rat_inverse(X)
+    return tuple(tuple(d * x for x in row) for row in inverse)
 
 
 def rat_inverse(X):
@@ -151,21 +191,33 @@ def rat_inverse(X):
 
 
 def minor_sums(X):
-    """``E[k]`` = sum of all principal k-by-k minors, k = 0..n (E[0] = 1)."""
+    """``E[k]`` = sum of all principal k-by-k minors, k = 0..n (E[0] = 1).
+
+    X is scaled to integer rows once; a principal minor of the scaled rows
+    is the minor of X times the product of its rows' scales, so each sum
+    is gathered over the common denominator ``prod(scales)`` in ints.
+    """
     n = len(X)
+    rows, scales = _int_rows(X)
+    common = math.prod(scales)
     sums = [_ONE]
     for k in range(1, n + 1):
-        total = _ZERO
+        total = 0
         for subset in itertools.combinations(range(n), k):
-            cells = [[X[a][b] for b in subset] for a in subset]
-            total += rat_det(cells)
-        sums.append(total)
+            minor = _int_det([[rows[a][b] for b in subset] for a in subset])
+            if minor:
+                total += minor * (common // math.prod(scales[a] for a in subset))
+        sums.append(Fraction(total, common))
     return sums
 
 
 def char_coeffs(X):
     """Coefficient of ``lambda^(n-k)`` in ``det(lambda I - X)``: ``(-1)^k E_k``."""
-    return [(-1) ** k * e for k, e in enumerate(minor_sums(X))]
+    return _signed(minor_sums(X))
+
+
+def _signed(sums):
+    return [(-1) ** k * e for k, e in enumerate(sums)]
 
 
 def charpoly_expand(X):
@@ -211,33 +263,68 @@ def _poly_mul(p, q):
     return out
 
 
+# A namedtuple, not a dataclass: building a dataclass costs about 1 ms at
+# import, which every CLI run pays.
+OracleReport = collections.namedtuple("OracleReport", "det jacobi reciprocal")
+
+
+def oracle_report(X) -> OracleReport:
+    """Check the Jacobi and reciprocal identities for every k at once.
+
+    ``det(X)``, ``E(X)``, ``E(adj X)`` and, for invertible X, ``E(X^-1)`` are
+    each computed once.  The inverse comes from Gauss-Jordan, independently
+    of the adjugate, so the reciprocal check does not reduce to the Jacobi
+    check.  In the returned ``(det, jacobi, reciprocal)``, ``jacobi[k]`` for
+    k = 0..n is the Jacobi verdict, ``None`` at k = 0 when ``det == 0``;
+    ``reciprocal[k]`` for k = 0..n is the reciprocal verdict, and
+    ``reciprocal`` is ``None`` for a singular matrix.
+    """
+    n = len(X)
+    d = rat_det(X)
+    inverse = rat_inverse(X) if d != 0 else None
+    e = minor_sums(X)
+    e_adj = minor_sums(rat_adjugate(X, inverse))
+    jacobi = tuple(
+        None if k == 0 and d == 0 else e_adj[k] == d ** (k - 1) * e[n - k]
+        for k in range(n + 1)
+    )
+    reciprocal = None
+    if inverse is not None:
+        chi = _signed(e)
+        chi_inv = _signed(minor_sums(inverse))
+        reciprocal = tuple(chi[n] * chi_inv[k] == chi[n - k] for k in range(n + 1))
+    return OracleReport(d, jacobi, reciprocal)
+
+
+def _check_k(X, k):
+    n = len(X)
+    if not (0 <= k <= n):
+        raise ValueError(f"k must lie in 0..{n}, got {k}")
+
+
 def jacobi_check(X, k: int) -> bool:
     """Exact test of ``E_k(adj X) == det(X)^(k-1) * E_{n-k}(X)``.
 
     Holds for every rational X when k >= 1; k = 0 needs an invertible X
-    (the right side carries ``det^(-1)``).
+    (the right side carries ``det^(-1)``).  Reads :func:`oracle_report`.
     """
-    n = len(X)
-    if not (0 <= k <= n):
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    d = rat_det(X)
-    if k == 0 and d == 0:
+    _check_k(X, k)
+    verdict = oracle_report(X).jacobi[k]
+    if verdict is None:
         raise Singular("k = 0 requires an invertible matrix")
-    lhs = minor_sums(rat_adjugate(X))[k]
-    rhs = d ** (k - 1) * minor_sums(X)[n - k]
-    return lhs == rhs
+    return verdict
 
 
 def reciprocal_check(X, k: int) -> bool:
-    """Exact test of ``chi_n(X) * chi_k(X^-1) == chi_{n-k}(X)``."""
-    n = len(X)
-    if not (0 <= k <= n):
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
-    if rat_det(X) == 0:
+    """Exact test of ``chi_n(X) * chi_k(X^-1) == chi_{n-k}(X)``.
+
+    Reads :func:`oracle_report`.
+    """
+    _check_k(X, k)
+    report = oracle_report(X)
+    if report.reciprocal is None:
         raise Singular("reciprocal identity needs an invertible matrix")
-    chi = char_coeffs(X)
-    chi_inv = char_coeffs(rat_inverse(X))
-    return chi[n] * chi_inv[k] == chi[n - k]
+    return report.reciprocal[k]
 
 
 def parse_rational_matrix(text: str):

@@ -13,7 +13,8 @@ Examples::
 ``--n`` range, round-robin, so ``--n 1..7 --trials 3500`` runs 500 trials
 per order.  ``--bound`` is at most ``2**63 - 1`` and the ``--probs`` values
 (``-?digits(/digits)?`` or ``digits.digits``) need a common denominator of at
-most ``2**64``; anything else exits 2.
+most ``2**64``; anything else exits 2.  So does an order above the mode's cap
+in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``.
 """
 
 from __future__ import annotations

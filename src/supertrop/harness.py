@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import classical
 from .errors import RejectionLimit
 from .matrices import (
+    DP_CAP,
     Matrix,
     conjecture_check,
     det,
@@ -50,6 +51,7 @@ from .scalars import EPS, Scalar, ghost, tangible
 
 __all__ = [
     "MODES",
+    "ORDER_CAPS",
     "REJECTION_LIMIT",
     "DEFAULT_PROBS",
     "TrialConfig",
@@ -63,6 +65,13 @@ __all__ = [
 MODES = ("conjecture", "claims", "detcross", "oracle", "bench")
 REJECTION_LIMIT = 10_000
 DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
+
+#: Largest order each mode accepts, through ``--n`` or ``--input``.  Brute
+#: force in ``detcross`` and ``bench`` grows as n!, and above ``DP_CAP`` the
+#: ``auto`` determinant of ``detcross`` is the assignment engine it is
+#: compared with; one ``oracle`` trial takes about 0.75 s at order 12 and 6 s
+#: at order 14.
+ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": DP_CAP, "bench": DP_CAP, "oracle": 12}
 
 
 @dataclass
@@ -101,8 +110,7 @@ class TrialConfig:
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
-        if self.mode == "claims" and max(self.n_values) > SYMBOLIC_CAP:
-            raise ValueError(f"claims mode needs order <= {SYMBOLIC_CAP}, got {max(self.n_values)}")
+        _check_order(self.mode, max(self.n_values))
         if self.mode == "bench" and self.input_text is not None:
             raise ValueError("bench mode does not take an input matrix")
 
@@ -112,6 +120,12 @@ class TrialConfig:
     def k_values(self, lo: int, n: int) -> list:
         """The k in ``lo..n`` that the ``ks`` filter keeps."""
         return [k for k in range(lo, n + 1) if self.ks is None or k in self.ks]
+
+
+def _check_order(mode, n):
+    cap = ORDER_CAPS.get(mode)
+    if cap is not None and n > cap:
+        raise ValueError(f"{mode} mode needs order <= {cap}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +280,12 @@ def _claims_record(cfg, index, A, seed, rejections):
 
 def _oracle_record(cfg, index, X, seed, rejections):
     n = len(X)
-    invertible = classical.rat_det(X) != 0
-    jacobi = [{"k": k, "ok": classical.jacobi_check(X, k)} for k in cfg.k_values(0 if invertible else 1, n)]
+    report = classical.oracle_report(X)
+    invertible = report.det != 0
+    jacobi = [{"k": k, "ok": report.jacobi[k]} for k in cfg.k_values(0 if invertible else 1, n)]
     reciprocal = None
     if invertible:
-        reciprocal = [{"k": k, "ok": classical.reciprocal_check(X, k)} for k in cfg.k_values(0, n)]
+        reciprocal = [{"k": k, "ok": report.reciprocal[k]} for k in cfg.k_values(0, n)]
     ok = all(r["ok"] for r in jacobi) and (reciprocal is None or all(r["ok"] for r in reciprocal))
     return {
         "trial": index,
@@ -313,19 +328,12 @@ def _bench_rows(cfg):
     return rows
 
 
-def _parse_claims_matrix(text):
-    A = parse_matrix(text)
-    if A.n > SYMBOLIC_CAP:
-        raise ValueError(f"claims mode needs order <= {SYMBOLIC_CAP}, got {A.n}")
-    return A
-
-
 #: Per verification mode: draw ``(matrix, rejections)`` from ``(cfg, rng, n)``,
 #: parse an ``--input`` text into a matrix, and build the trial record.
 _SUITES = {
     "conjecture": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, not cfg.allow_singular),
                    parse_matrix, _conjecture_record),
-    "claims": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, True), _parse_claims_matrix, _claims_record),
+    "claims": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, True), parse_matrix, _claims_record),
     "detcross": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, False), parse_matrix, _detcross_record),
     "oracle": (lambda cfg, rng, n: (random_rational_matrix(rng, n, cfg.bound), 0),
                classical.parse_rational_matrix, _oracle_record),
@@ -336,7 +344,9 @@ def _trial_records(cfg):
     """One record for ``--input``, else one per seeded trial, in trial order."""
     draw, parse, record = _SUITES[cfg.mode]
     if cfg.input_text is not None:
-        yield record(cfg, 0, parse(cfg.input_text), None, 0)
+        matrix = parse(cfg.input_text)
+        _check_order(cfg.mode, matrix.n if isinstance(matrix, Matrix) else len(matrix))
+        yield record(cfg, 0, matrix, None, 0)
         return
     for index in range(cfg.trials):
         seed = derive_trial_seed(cfg.seed, index)

@@ -31,9 +31,8 @@ from supertrop.classical import (
     as_rational_matrix,
     char_coeffs,
     charpoly_expand,
-    jacobi_check,
+    oracle_report,
     rat_det,
-    reciprocal_check,
 )
 from supertrop.harness import DEFAULT_PROBS, TrialConfig, random_matrix, random_scalar, run
 from supertrop.matrices import adjoint, det
@@ -171,9 +170,8 @@ def test_criterion_5_field_oracle():
             X = as_rational_matrix(
                 [[rng.next_int(-20, 20) for _ in range(n)] for _ in range(n)]
             )
-            for k in range(1, n + 1):
-                if not jacobi_check(X, k):
-                    jacobi_failures += 1
+            # One report per matrix carries the verdict for every k.
+            jacobi_failures += sum(not ok for ok in oracle_report(X).jacobi[1:])
         invertible = 0
         while invertible < 200:
             X = as_rational_matrix(
@@ -182,9 +180,7 @@ def test_criterion_5_field_oracle():
             if rat_det(X) == 0:
                 continue
             invertible += 1
-            for k in range(n + 1):
-                if not reciprocal_check(X, k):
-                    reciprocal_failures += 1
+            reciprocal_failures += sum(not ok for ok in oracle_report(X).reciprocal)
     # Adversarial singular matrices, k >= 1 only.
     singular_cases = [
         [[1, 2], [2, 4]],
@@ -196,9 +192,7 @@ def test_criterion_5_field_oracle():
     for rows in singular_cases:
         X = as_rational_matrix(rows)
         assert rat_det(X) == 0
-        for k in range(1, len(rows) + 1):
-            if not jacobi_check(X, k):
-                jacobi_failures += 1
+        jacobi_failures += sum(not ok for ok in oracle_report(X).jacobi[1:])
     # Sign-convention cross-validation at n <= 4.
     for n in range(1, 5):
         rng = Xorshift64Star(derive_trial_seed(5151, n))

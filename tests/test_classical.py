@@ -8,6 +8,7 @@ from supertrop.classical import (
     charpoly_expand,
     jacobi_check,
     minor_sums,
+    oracle_report,
     parse_rational_matrix,
     rat_adjugate,
     rat_det,
@@ -90,6 +91,83 @@ class TestDetAdjugate:
             rat_inverse(SINGULAR_CASES[0])
 
 
+def seeded_fraction_matrices(seed, count, n, bound=9):
+    """Entries ``p/q`` with ``q`` in 2..9, so every row needs a scale above 1."""
+    rng = Xorshift64Star(seed)
+    return [
+        as_rational_matrix(
+            [[Fraction(rng.next_int(-bound, bound), rng.next_int(2, 9)) for _ in range(n)] for _ in range(n)]
+        )
+        for _ in range(count)
+    ]
+
+
+def with_zero_corner(M):
+    """M with its top-left entry zeroed: elimination must swap rows at once."""
+    rows = [list(row) for row in M]
+    rows[0][0] = Fraction(0)
+    return as_rational_matrix(rows)
+
+
+FRACTION_CASES = [
+    # Zero first column: no pivot at all, det 0.
+    as_rational_matrix([[0, Fraction(1, 2), 3], [0, Fraction(2, 3), Fraction(-5, 4)], [0, 1, Fraction(7, 9)]]),
+    # Row 2 is 2/3 of row 1 in its first two entries: the second pivot vanishes and forces a swap.
+    as_rational_matrix([[Fraction(1, 2), 1, Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), Fraction(5, 7)], [1, 1, 1]]),
+    # Singular: row 2 is 2/3 of row 1.
+    as_rational_matrix([[Fraction(1, 2), 1, Fraction(3, 2)], [Fraction(1, 3), Fraction(2, 3), 1], [0, Fraction(5, 7), -2]]),
+    # Singular: a rank-1 block of fractions.
+    as_rational_matrix([[Fraction(i, 2) * Fraction(j, 3) for j in range(1, 5)] for i in range(1, 5)]),
+    as_rational_matrix([[0, Fraction(1, 8)], [Fraction(-3, 5), 0]]),
+]
+
+
+class TestIntegerBareiss:
+    """``rat_det`` and ``minor_sums`` scale rows to integers; check them on fractions."""
+
+    def cases(self):
+        for n in range(1, 5):
+            for M in seeded_fraction_matrices(110 + n, 12, n):
+                yield M
+                yield with_zero_corner(M)
+        yield from FRACTION_CASES
+
+    def test_against_permutation_expansion(self):
+        singular = 0
+        for M in self.cases():
+            n = len(M)
+            chi = charpoly_expand(M)
+            assert rat_det(M) == (-1) ** n * chi[n], M
+            assert minor_sums(M) == [(-1) ** k * c for k, c in enumerate(chi)], M
+            singular += rat_det(M) == 0
+        assert singular >= 4
+
+    def test_row_swaps(self):
+        assert rat_det(as_rational_matrix([[0, 1], [1, 0]])) == -1
+        assert rat_det(FRACTION_CASES[1]) == Fraction(-1, 7)
+
+    def test_oracle_report_on_fractions(self):
+        for M in self.cases():
+            report = oracle_report(M)
+            assert all(report.jacobi[1:]), M
+            if report.det == 0:
+                assert report.jacobi[0] is None and report.reciprocal is None
+            else:
+                assert report.jacobi[0] and all(report.reciprocal), M
+
+    def test_per_k_checks_read_the_report(self):
+        for M in FRACTION_CASES[1:3] + [X]:
+            report = oracle_report(M)
+            for k in range(1, len(M) + 1):
+                assert jacobi_check(M, k) == report.jacobi[k]
+            if report.det != 0:
+                assert [reciprocal_check(M, k) for k in range(len(M) + 1)] == list(report.reciprocal)
+        with pytest.raises(ValueError):
+            reciprocal_check(X, 3)
+        with pytest.raises(Singular):
+            reciprocal_check(FRACTION_CASES[2], 0)
+
+
 class TestSignConventions:
     def test_char_coeffs_match_expansion(self):
         # The cross-validation pinning chi_k = (-1)^k E_k, order <= 4.
@@ -114,25 +192,24 @@ class TestSignConventions:
 class TestJacobi:
     def test_examples(self):
         for n in range(1, 5):
-            identity = rat_identity(n)
-            for k in range(n + 1):
-                assert jacobi_check(identity, k)
+            assert oracle_report(rat_identity(n)).jacobi == (True,) * (n + 1)
         assert jacobi_check(X, 1)
         assert minor_sums(rat_adjugate(X))[1] == 7
 
     def test_random(self):
         for n in range(2, 6):
             for M in seeded_int_matrices(60 + n, 10, n):
-                for k in range(1, n + 1):
-                    assert jacobi_check(M, k)
-                if rat_det(M) != 0:
-                    assert jacobi_check(M, 0)
+                report = oracle_report(M)
+                assert all(report.jacobi[1:])
+                if report.det != 0:
+                    assert report.jacobi[0]
 
     def test_singular_adversarial(self):
         for M in SINGULAR_CASES:
-            assert rat_det(M) == 0
-            for k in range(1, len(M) + 1):
-                assert jacobi_check(M, k), M
+            report = oracle_report(M)
+            assert report.det == 0 and rat_det(M) == 0
+            assert all(report.jacobi[1:]), M
+            assert report.jacobi[0] is None and report.reciprocal is None
             with pytest.raises(Singular):
                 jacobi_check(M, 0)
 
@@ -144,9 +221,7 @@ class TestJacobi:
 class TestReciprocal:
     def test_examples(self):
         for n in range(1, 5):
-            identity = rat_identity(n)
-            for k in range(n + 1):
-                assert reciprocal_check(identity, k)
+            assert oracle_report(rat_identity(n)).reciprocal == (True,) * (n + 1)
         assert reciprocal_check(X, 1)
         assert char_coeffs(X) == [1, -7, 12]
         assert char_coeffs(rat_inverse(X))[1] == Fraction(-7, 12)
@@ -155,10 +230,10 @@ class TestReciprocal:
         for n in range(2, 6):
             count = 0
             for M in seeded_int_matrices(70 + n, 12, n):
-                if rat_det(M) == 0:
+                report = oracle_report(M)
+                if report.det == 0:
                     continue
-                for k in range(n + 1):
-                    assert reciprocal_check(M, k)
+                assert all(report.reciprocal)
                 count += 1
             assert count >= 8
 

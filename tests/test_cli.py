@@ -100,6 +100,48 @@ class TestMain:
         assert main(["--mode", "claims", "--input", str(path)]) == 2
         assert "claims mode needs order <= 4, got 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, cap, token",
+        [("detcross", 9, "0t"), ("bench", 9, None), ("oracle", 12, "1")],
+    )
+    def test_order_cap_exits_2(self, mode, cap, token, tmp_path, capsys):
+        n = cap + 1
+        message = f"{mode} mode needs order <= {cap}, got {n}"
+        assert main(["--mode", mode, "--n", f"2..{n}", "--trials", "1"]) == 2
+        assert message in capsys.readouterr().err
+        if token is not None:  # bench takes no input matrix
+            path = tmp_path / "m.txt"
+            path.write_text(f"{n}\n" + (" ".join([token] * n) + "\n") * n)
+            assert main(["--mode", mode, "--input", str(path)]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "4\n0 1/2 -3 2/5\n2/3 0 5/4 -1\n-7/9 1 2 1/6\n0 3/8 -1/2 4\n",
+                '{"trial":0,"seed":null,"n":4,"rejections":0,"matrix":{"n":4,"rows":'
+                '["0 1/2 -3 2/5","2/3 0 5/4 -1","-7/9 1 2 1/6","0 3/8 -1/2 4"]},"invertible":true,'
+                '"jacobi":[{"k":0,"ok":true},{"k":1,"ok":true},{"k":2,"ok":true},{"k":3,"ok":true},'
+                '{"k":4,"ok":true}],"reciprocal":[{"k":0,"ok":true},{"k":1,"ok":true},{"k":2,"ok":true},'
+                '{"k":3,"ok":true},{"k":4,"ok":true}],"ok":true}\n',
+            ),
+            (
+                "3\n1/2 1 3/2\n1/3 2/3 1\n0 5/7 -2\n",
+                '{"trial":0,"seed":null,"n":3,"rejections":0,"matrix":{"n":3,"rows":'
+                '["1/2 1 3/2","1/3 2/3 1","0 5/7 -2"]},"invertible":false,'
+                '"jacobi":[{"k":1,"ok":true},{"k":2,"ok":true},{"k":3,"ok":true}],'
+                '"reciprocal":null,"ok":true}\n',
+            ),
+        ],
+        ids=["invertible", "singular"],
+    )
+    def test_rational_oracle_input_bytes(self, text, expected, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        assert main(["--mode", "oracle", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_engine_disagreement_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(matrices, "_det_assignment_cells", lambda cells: tangible(999))
         code = main(["--mode", "conjecture", "--n", "2", "--trials", "1", "--engine", "both"])

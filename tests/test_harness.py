@@ -7,6 +7,7 @@ import pytest
 from supertrop.errors import RejectionLimit
 from supertrop.harness import (
     DEFAULT_PROBS,
+    ORDER_CAPS,
     TrialConfig,
     generate_matrix,
     random_matrix,
@@ -48,6 +49,9 @@ class TestConfig:
             {"mode": "conjecture", "bound": 2**63},
             {"mode": "oracle", "bound": 2**63},
             {"mode": "conjecture", "probs": (Fraction(1, 2**65), Fraction(0), 1 - Fraction(1, 2**65))},
+            {"mode": "detcross", "n_values": (2, 10)},
+            {"mode": "bench", "n_values": tuple(range(2, 11))},
+            {"mode": "oracle", "n_values": (13,)},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
@@ -60,6 +64,20 @@ class TestConfig:
             bound=2**63 - 1,
             probs=(Fraction(1, 2**64), Fraction(0), 1 - Fraction(1, 2**64)),
         ).validate()
+
+    def test_order_caps_accepted(self):
+        TrialConfig(mode="detcross", n_values=(9,)).validate()
+        TrialConfig(mode="bench", n_values=tuple(range(2, 10))).validate()
+        TrialConfig(mode="oracle", n_values=(12,)).validate()
+        TrialConfig(mode="conjecture", n_values=(13,)).validate()
+
+    @pytest.mark.parametrize("mode, token", [("detcross", "0t"), ("oracle", "1")])
+    def test_input_order_cap(self, mode, token):
+        n = ORDER_CAPS[mode] + 1
+        cfg = TrialConfig(mode=mode, input_text=f"{n}\n" + (" ".join([token] * n) + "\n") * n)
+        cfg.validate()
+        with pytest.raises(ValueError, match=f"{mode} mode needs order <= {n - 1}, got {n}"):
+            run_capture(cfg)
 
     def test_round_robin_orders(self):
         cfg = TrialConfig(mode="conjecture", n_values=(1, 2, 3))
