@@ -35,7 +35,6 @@ from .matrices import (
     pseudoinverse,
 )
 from .polynomials import (
-    MuTuple,
     Poly,
     build_alpha,
     build_beta,

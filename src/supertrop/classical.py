@@ -156,7 +156,8 @@ def rat_adjugate(X, inverse=None):
     Cofactor route up to order 5; for larger invertible matrices the cheaper
     ``det(X) * inverse(X)`` route is used (the cofactor route remains the
     fallback when the determinant vanishes).  A caller that already holds
-    ``rat_inverse(X)`` passes it as ``inverse``.
+    ``rat_inverse(X)`` passes it as ``inverse``.  Above order 5 the result
+    is therefore not independent of the Gauss-Jordan inverse.
     """
     n = len(X)
     if n <= 5:
@@ -272,9 +273,13 @@ def oracle_report(X) -> OracleReport:
     """Check the Jacobi and reciprocal identities for every k at once.
 
     ``det(X)``, ``E(X)``, ``E(adj X)`` and, for invertible X, ``E(X^-1)`` are
-    each computed once.  The inverse comes from Gauss-Jordan, independently
-    of the adjugate, so the reciprocal check does not reduce to the Jacobi
-    check.  In the returned ``(det, jacobi, reciprocal)``, ``jacobi[k]`` for
+    each computed once.  The inverse comes from Gauss-Jordan.  Up to order 5
+    the adjugate comes from cofactors, independently of it, so the
+    reciprocal check does not reduce to the Jacobi check.  Above order 5 an
+    invertible X's adjugate is ``det * inverse`` (see :func:`rat_adjugate`),
+    so there both verdicts rest on the same Gauss-Jordan inverse and the
+    reciprocal check is no independent witness for the Jacobi check.  In the
+    returned ``(det, jacobi, reciprocal)``, ``jacobi[k]`` for
     k = 0..n is the Jacobi verdict, ``None`` at k = 0 when ``det == 0``;
     ``reciprocal[k]`` for k = 0..n is the reciprocal verdict, and
     ``reciprocal`` is ``None`` for a singular matrix.

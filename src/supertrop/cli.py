@@ -24,23 +24,31 @@ import re
 import sys
 from fractions import Fraction
 
-from .harness import DEFAULT_PROBS, MODES, TrialConfig, run
+from .harness import DEFAULT_PROBS, MODES, ORDER_CAPS, TrialConfig, check_order, run
 from .errors import InternalError, RejectionLimit
 from .scalars import parse_rational
 
 __all__ = ["main", "build_parser"]
 
 
+def _n_ends(text):
+    """``(lo, hi)`` of a single order like ``4`` or an inclusive range like ``1..6``."""
+    lo_text, dots, hi_text = text.strip().partition("..")
+    lo = int(lo_text)
+    hi = int(hi_text) if dots else lo
+    if not 1 <= lo <= hi:
+        raise ValueError(f"order range {text.strip()!r} is empty or starts below 1")
+    return lo, hi
+
+
 def parse_n_range(text: str):
-    """Either a single order like ``4`` or an inclusive range like ``1..6``."""
-    text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty order range {text!r}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+    """The orders of ``text`` as a tuple, refused before it is built if one
+    lies above the largest cap in ``harness.ORDER_CAPS``."""
+    lo, hi = _n_ends(text)
+    top = max(ORDER_CAPS.values())
+    if hi > top:
+        raise ValueError(f"no mode accepts an order above {top}, got {hi}")
+    return tuple(range(lo, hi + 1))
 
 
 def parse_probs(text: str):
@@ -93,6 +101,7 @@ def _config_from_args(args) -> TrialConfig:
     if args.input is not None:
         with open(args.input, "r", encoding="utf-8") as handle:
             input_text = handle.read()
+    check_order(args.mode, _n_ends(args.n)[1])  # the mode's cap, before any tuple
     cfg = TrialConfig(
         mode=args.mode,
         n_values=parse_n_range(args.n),

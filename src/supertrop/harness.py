@@ -52,6 +52,7 @@ from .scalars import EPS, Scalar, ghost, tangible
 __all__ = [
     "MODES",
     "ORDER_CAPS",
+    "check_order",
     "REJECTION_LIMIT",
     "DEFAULT_PROBS",
     "TrialConfig",
@@ -70,8 +71,11 @@ DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
 #: force in ``detcross`` and ``bench`` grows as n!, and above ``DP_CAP`` the
 #: ``auto`` determinant of ``detcross`` is the assignment engine it is
 #: compared with; one ``oracle`` trial takes about 0.75 s at order 12 and 6 s
-#: at order 14.
-ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": DP_CAP, "bench": DP_CAP, "oracle": 12}
+#: at order 14; one ``conjecture`` trial (seed 42, a 2-vCPU CPython 3.11
+#: host) takes 1.5 s at order 12 and 3.5 s at 13, each order multiplying the
+#: time by about 2.4.
+ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": DP_CAP, "bench": DP_CAP, "oracle": 12,
+              "conjecture": 13}
 
 
 @dataclass
@@ -110,7 +114,7 @@ class TrialConfig:
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
-        _check_order(self.mode, max(self.n_values))
+        check_order(self.mode, max(self.n_values))
         if self.mode == "bench" and self.input_text is not None:
             raise ValueError("bench mode does not take an input matrix")
 
@@ -122,9 +126,10 @@ class TrialConfig:
         return [k for k in range(lo, n + 1) if self.ks is None or k in self.ks]
 
 
-def _check_order(mode, n):
-    cap = ORDER_CAPS.get(mode)
-    if cap is not None and n > cap:
+def check_order(mode, n):
+    """Refuse an order above the mode's entry in :data:`ORDER_CAPS`."""
+    cap = ORDER_CAPS[mode]
+    if n > cap:
         raise ValueError(f"{mode} mode needs order <= {cap}, got {n}")
 
 
@@ -345,7 +350,7 @@ def _trial_records(cfg):
     draw, parse, record = _SUITES[cfg.mode]
     if cfg.input_text is not None:
         matrix = parse(cfg.input_text)
-        _check_order(cfg.mode, matrix.n if isinstance(matrix, Matrix) else len(matrix))
+        check_order(cfg.mode, matrix.n if isinstance(matrix, Matrix) else len(matrix))
         yield record(cfg, 0, matrix, None, 0)
         return
     for index in range(cfg.trials):

@@ -575,16 +575,13 @@ def is_nonsingular(A: Matrix, engine: str = "auto") -> bool:
     return det(A, engine).is_tangible
 
 
-def _pseudoinverse_from(d, adj):
+def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
+    """Adjoint scaled by the inverse determinant; requires a tangible determinant."""
+    d, adj = _det_and_adjoint(A, engine)
     if not d.is_tangible:
         raise Singular(f"pseudoinverse needs a tangible determinant, got {d.token}")
     inv = scalar_pow(d, -1)
     return Matrix([[mul(inv, s) for s in row] for row in adj.rows])
-
-
-def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
-    """Adjoint scaled by the inverse determinant; requires a tangible determinant."""
-    return _pseudoinverse_from(*_det_and_adjoint(A, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -620,14 +617,14 @@ def conjecture_check(
     """Per-k check that the k-th characteristic coefficient of the adjoint
     ghost-surpasses ``det^(k-1)`` times the (n-k)-th coefficient of ``A``.
 
-    The equivalent pseudoinverse form ``det * chi_k(pinv A) |= chi_{n-k}(A)``
-    is evaluated alongside, from the same determinant and adjoint, and must
-    agree case by case; a disagreement raises :class:`InternalError`, it is
-    not a verification failure.
+    One kernel pass gives ``det`` and ``adj A``; ``chi(A)`` and ``chi(adj A)``
+    are the only other quantities computed.  The pseudoinverse form
+    ``det * chi_k(pinv A) |= chi_{n-k}(A)`` is the same inequality scaled by
+    the tangible unit ``det^(1-k)``, so it is checked in the tests, not here.
 
     With ``allow_singular`` the check runs on singular matrices too, skipping
-    k = 0 (which needs the inverse determinant) and the pseudoinverse form.
-    This path is exploratory: no correctness claim attaches to it.
+    k = 0 (which needs the inverse determinant).  This path is exploratory:
+    no correctness claim attaches to it.
     """
     n = A.n
     d, adj = _det_and_adjoint(A, engine)
@@ -647,22 +644,12 @@ def conjecture_check(
 
     chi = char_poly(A, engine)
     chi_adj = char_poly(adj, engine)
-    if not singular:
-        chi_pinv = char_poly(_pseudoinverse_from(d, adj), engine)
 
     cases = []
     for k in k_list:
         lhs = chi_adj.coeffs[k]
         rhs = mul(det_power(d, k - 1), chi.coeffs[n - k])
-        holds = ghost_surpasses(lhs, rhs)
-        if not singular:
-            alt = ghost_surpasses(mul(d, chi_pinv.coeffs[k]), chi.coeffs[n - k])
-            if alt != holds:
-                raise InternalError(
-                    f"equivalent surpassing forms disagree at k={k}: "
-                    f"adjoint form {holds}, pseudoinverse form {alt}"
-                )
-        cases.append(ConjectureCase(k, lhs, rhs, holds))
+        cases.append(ConjectureCase(k, lhs, rhs, ghost_surpasses(lhs, rhs)))
     return ConjectureReport(n, d, singular, tuple(cases))
 
 

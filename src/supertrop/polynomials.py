@@ -7,9 +7,9 @@ a given order n and level k:
 * ``alpha``: the k-th characteristic coefficient of the adjoint of the
   all-variable matrix;
 * ``beta``: the (k-1)-fold product of the variable determinant times the
-  (n-k)-th characteristic coefficient of the variable matrix -- built both
-  by polynomial products and by direct enumeration of index tuples, and the
-  two constructions are asserted equal term for term;
+  (n-k)-th characteristic coefficient of the variable matrix, built by
+  polynomial products (the tests compare it term for term with a direct
+  enumeration of index tuples);
 * ``gamma``: the restriction of beta to its tangible-coefficient terms.
 
 On top of these sit the mechanical support/evaluation checks used by the
@@ -26,14 +26,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalError, OrderTooLarge, Singular
+from .errors import OrderTooLarge, Singular
 from .matrices import Matrix, is_nonsingular
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
 
 __all__ = [
     "SYMBOLIC_CAP",
     "Poly",
-    "MuTuple",
     "zero_poly",
     "unit_poly",
     "variable",
@@ -226,64 +225,19 @@ def build_alpha(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
     return acc
 
 
-@dataclass(frozen=True)
-class MuTuple:
-    """Index tuple for one raw monomial of beta: k-1 full permutations, an
-    (n-k)-subset, and a permutation of that subset.
-
-    ``sigmas[t][i]`` is the image of row i under the t-th permutation;
-    ``tau[p]`` is the image of ``j_set[p]``.
-    """
-
-    sigmas: tuple
-    j_set: tuple
-    tau: tuple
-
-    def exponent_key(self, n: int):
-        exps = [0] * (n * n)
-        for sigma in self.sigmas:
-            for i in range(n):
-                exps[i * n + sigma[i]] += 1
-        for j, image in zip(self.j_set, self.tau):
-            exps[j * n + image] += 1
-        return tuple(exps)
-
-
-def _beta_by_tuples(n, k):
-    unit = tangible(0)
-    terms = {}
-    all_perms = list(itertools.permutations(range(n)))
-    subsets = list(itertools.combinations(range(n), n - k))
-    for sigmas in itertools.product(all_perms, repeat=k - 1):
-        for j_set in subsets:
-            for tau in itertools.permutations(j_set):
-                key = MuTuple(sigmas, j_set, tau).exponent_key(n)
-                seen = terms.get(key)
-                terms[key] = unit if seen is None else add(seen, unit)
-    return _raw(n, terms)
-
-
 @lru_cache(maxsize=None)
 def build_beta(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
     """``det^(k-1) * chi_{n-k}`` of the variable matrix, k >= 1.
 
     k = 0 is rejected: it would need the inverse determinant, which is not a
-    polynomial.  Built via polynomial products and cross-checked term for
-    term against the direct tuple enumeration.  Cached; treat as read-only.
+    polynomial.  Built via polynomial products.  Cached; treat as read-only.
     """
     _check_caps(n, k, cap, 1)
     det_v = poly_det(_variable_cells(n), n)
     beta = unit_poly(n)
     for _ in range(k - 1):
         beta = poly_mul(beta, det_v)
-    beta = poly_mul(beta, chi_poly(n, n - k))
-    by_tuples = _beta_by_tuples(n, k)
-    if beta != by_tuples:
-        raise InternalError(
-            f"beta constructions disagree at (n={n}, k={k}): "
-            f"{len(beta)} vs {len(by_tuples)} terms"
-        )
-    return beta
+    return poly_mul(beta, chi_poly(n, n - k))
 
 
 @lru_cache(maxsize=None)
@@ -353,8 +307,6 @@ class Claim1Report:
     k: int
     alpha_terms: int
     beta_terms: int
-    alpha_tangible: int
-    beta_tangible: int
     violations: tuple
 
     @property
@@ -419,8 +371,6 @@ def claim1_check(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Claim1Report:
         k=k,
         alpha_terms=len(alpha),
         beta_terms=len(beta),
-        alpha_tangible=sum(1 for c in alpha.terms.values() if c.is_tangible),
-        beta_tangible=sum(1 for c in beta.terms.values() if c.is_tangible),
         violations=violations,
     )
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,7 +103,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "mode, cap, token",
-        [("detcross", 9, "0t"), ("bench", 9, None), ("oracle", 12, "1")],
+        [("detcross", 9, "0t"), ("bench", 9, None), ("oracle", 12, "1"), ("conjecture", 13, "0t")],
     )
     def test_order_cap_exits_2(self, mode, cap, token, tmp_path, capsys):
         n = cap + 1
@@ -114,6 +115,12 @@ class TestMain:
             path.write_text(f"{n}\n" + (" ".join([token] * n) + "\n") * n)
             assert main(["--mode", mode, "--input", str(path)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_huge_order_range_refused_before_it_is_built(self, capsys):
+        start = time.perf_counter()
+        assert main(["--mode", "conjecture", "--n", "1..1000000000", "--trials", "1"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "conjecture mode needs order <= 13, got 1000000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -19,6 +19,7 @@ from supertrop import (
     det_power,
     format_matrix,
     ghost,
+    ghost_surpasses,
     is_invertible,
     is_nonsingular,
     mul,
@@ -260,14 +261,30 @@ class TestConjecture:
         assert report.singular
         assert {c.k for c in report.cases} == {1, 2}  # k = 0 needs the inverse
 
-    def test_forms_disagreeing_is_an_internal_error(self, monkeypatch):
-        # An all-eps pseudoinverse puts eps where chi_1(A) = 4t, so the
-        # pseudoinverse form fails at k = 1 while the adjoint form holds.
-        monkeypatch.setattr(
-            matrices, "_pseudoinverse_from", lambda d, adj: Matrix([[EPS] * adj.n] * adj.n)
-        )
-        with pytest.raises(InternalError):
-            conjecture_check(A)
+    @pytest.mark.parametrize(
+        "engine, orders", [("auto", range(1, 8)), ("both", range(1, 5))], ids=["auto", "both"]
+    )
+    def test_pseudoinverse_form_is_the_adjoint_form(self, engine, orders):
+        # pinv A = det^-1 adj A and scaling by a tangible unit is a bijection,
+        # so chi_k(pinv A) = det^-k chi_k(adj A) exactly, ghost tags included,
+        # and det * chi_k(pinv A) |= chi_{n-k}(A) decides every k the way the
+        # adjoint form of conjecture_check does.
+        checked = 0
+        for n in orders:
+            for M in seeded_matrices(900 + n, 60, n):
+                d = det(M, engine)
+                if not d.is_tangible:
+                    continue
+                chi = char_poly(M, engine).coeffs
+                chi_adj = char_poly(adjoint(M, engine), engine).coeffs
+                chi_pinv = char_poly(pseudoinverse(M, engine), engine).coeffs
+                report = conjecture_check(M, engine)
+                for k in range(n + 1):
+                    assert chi_pinv[k] == mul(det_power(d, -k), chi_adj[k]), (M, k)
+                    pinv_form = ghost_surpasses(mul(d, chi_pinv[k]), chi[n - k])
+                    assert pinv_form == report.cases[k].holds, (M, k)
+                checked += 1
+        assert checked > 15 * len(orders)
 
     def test_k_filter_validation(self):
         with pytest.raises(ValueError):

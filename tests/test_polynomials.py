@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import dataclass
+
 import pytest
 
 from supertrop import (
@@ -27,7 +30,6 @@ from supertrop import (
 )
 from supertrop.matrices import adjoint, is_nonsingular
 from supertrop.polynomials import (
-    MuTuple,
     Poly,
     _exists_addend,
     unit_poly,
@@ -50,6 +52,44 @@ def exps(n, *pairs):
     for i, j, e in pairs:
         grid[(i - 1) * n + (j - 1)] = e
     return tuple(grid)
+
+
+@dataclass(frozen=True)
+class MuTuple:
+    """Index tuple for one raw monomial of beta: k-1 full permutations, an
+    (n-k)-subset, and a permutation of that subset.
+
+    ``sigmas[t][i]`` is the image of row i under the t-th permutation;
+    ``tau[p]`` is the image of ``j_set[p]``.
+    """
+
+    sigmas: tuple
+    j_set: tuple
+    tau: tuple
+
+    def exponent_key(self, n: int):
+        exps = [0] * (n * n)
+        for sigma in self.sigmas:
+            for i in range(n):
+                exps[i * n + sigma[i]] += 1
+        for j, image in zip(self.j_set, self.tau):
+            exps[j * n + image] += 1
+        return tuple(exps)
+
+
+def beta_by_tuples(n, k):
+    """Reference for ``build_beta``: ``det^(k-1) * chi_{n-k}`` of the variable
+    matrix expanded directly, one unit term per index tuple."""
+    terms = {}
+    all_perms = list(itertools.permutations(range(n)))
+    subsets = list(itertools.combinations(range(n), n - k))
+    for sigmas in itertools.product(all_perms, repeat=k - 1):
+        for j_set in subsets:
+            for tau in itertools.permutations(j_set):
+                key = MuTuple(sigmas, j_set, tau).exponent_key(n)
+                seen = terms.get(key)
+                terms[key] = tangible(0) if seen is None else add(seen, tangible(0))
+    return Poly(n, terms)
 
 
 class TestPolyArithmetic:
@@ -139,6 +179,11 @@ class TestBuilders:
         mu = MuTuple(sigmas=((1, 0, 2),), j_set=(0, 2), tau=(2, 0))
         key = mu.exponent_key(3)
         assert key == exps(3, (1, 2, 1), (2, 1, 1), (3, 3, 1), (1, 3, 1), (3, 1, 1))
+
+    def test_beta_equals_tuple_enumeration(self):
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                assert build_beta(n, k) == beta_by_tuples(n, k), (n, k)
 
     def test_builders_are_cached(self):
         assert build_alpha(3, 2) is build_alpha(3, 2)
