@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .errors import Singular
-from .scalars import parse_rational
+from .scalars import parse_int, parse_rational
 
 __all__ = [
     "as_rational_matrix",
@@ -338,7 +338,7 @@ def parse_rational_matrix(text: str):
     if not lines:
         raise ValueError("empty matrix text")
     try:
-        n = int(lines[0])
+        n = parse_int(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
     if n < 1:

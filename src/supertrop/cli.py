@@ -14,7 +14,9 @@ Examples::
 per order.  ``--bound`` is at most ``2**63 - 1`` and the ``--probs`` values
 (``-?digits(/digits)?`` or ``digits.digits``) need a common denominator of at
 most ``2**64``; anything else exits 2.  So does an order above the mode's cap
-in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``.
+in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
+``BRUTE_CAP`` under ``--engine brute`` or ``both``, and an integer flag value
+(or ``--input`` order line) that is not ASCII ``-?digits``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .harness import DEFAULT_PROBS, MODES, ORDER_CAPS, TrialConfig, check_order, run
 from .errors import InternalError, RejectionLimit
-from .scalars import parse_rational
+from .scalars import parse_int, parse_rational
 
 __all__ = ["main", "build_parser"]
 
@@ -34,8 +36,8 @@ __all__ = ["main", "build_parser"]
 def _n_ends(text):
     """``(lo, hi)`` of a single order like ``4`` or an inclusive range like ``1..6``."""
     lo_text, dots, hi_text = text.strip().partition("..")
-    lo = int(lo_text)
-    hi = int(hi_text) if dots else lo
+    lo = parse_int(lo_text)
+    hi = parse_int(hi_text) if dots else lo
     if not 1 <= lo <= hi:
         raise ValueError(f"order range {text.strip()!r} is empty or starts below 1")
     return lo, hi
@@ -61,7 +63,7 @@ def parse_probs(text: str):
 
 
 def parse_ks(text: str):
-    return tuple(sorted({int(p.strip()) for p in text.split(",")}))
+    return tuple(sorted({parse_int(p.strip()) for p in text.split(",")}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="matrix order, single value or inclusive range (default 3)")
     parser.add_argument("--k", default=None, metavar="K[,K...]",
                         help="restrict per-k checks to these k values")
-    parser.add_argument("--trials", type=int, default=None,
+    parser.add_argument("--trials", type=parse_int, default=None,
                         help="total trial count (default 100; bench: repeats per engine, default 3)")
-    parser.add_argument("--seed", type=int, default=42, help="64-bit master seed (default 42)")
-    parser.add_argument("--bound", type=int, default=20,
+    parser.add_argument("--seed", type=parse_int, default=42, help="64-bit master seed (default 42)")
+    parser.add_argument("--bound", type=parse_int, default=20,
                         help="entry values are drawn from [-bound, bound] (default 20)")
     parser.add_argument("--probs", default=None, metavar="T,G,E",
                         help="tangible,ghost,eps probabilities; exact rationals or decimals "

@@ -30,6 +30,7 @@ from fractions import Fraction
 from . import classical
 from .errors import RejectionLimit
 from .matrices import (
+    BRUTE_CAP,
     DP_CAP,
     Matrix,
     conjecture_check,
@@ -39,13 +40,7 @@ from .matrices import (
     is_nonsingular,
     parse_matrix,
 )
-from .polynomials import (
-    SYMBOLIC_CAP,
-    claim1_check,
-    claim2_check,
-    claim3_check,
-    decomposition_checks,
-)
+from .polynomials import SYMBOLIC_CAP, _claims_reports, claim1_check, claim2_check
 from .rng import Xorshift64Star, derive_trial_seed
 from .scalars import EPS, Scalar, ghost, tangible
 
@@ -115,6 +110,11 @@ class TrialConfig:
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
         check_order(self.mode, max(self.n_values))
+        if self.engine in ("brute", "both") and max(self.n_values) > BRUTE_CAP:
+            raise ValueError(
+                f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), "
+                f"got {max(self.n_values)}"
+            )
         if self.mode == "bench" and self.input_text is not None:
             raise ValueError("bench mode does not take an input matrix")
 
@@ -258,12 +258,10 @@ def _claims_symbolic_rows(cfg):
 def _claims_record(cfg, index, A, seed, rejections):
     n = A.n
     results = []
-    for k in cfg.k_values(1, n):
-        c3 = claim3_check(A, k)
-        dec = decomposition_checks(A, k)
+    for c3, dec in _claims_reports(A, cfg.k_values(1, n), engine=cfg.engine):
         results.append(
             {
-                "k": k,
+                "k": c3.k,
                 "claim3": c3.ok,
                 "u_exists": dec.u_exists,
                 "tangible_case_ok": dec.tangible_case_ok,

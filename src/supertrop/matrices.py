@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalError, OrderTooLarge, Singular
-from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_scalar, tangible
+from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_int, parse_scalar, tangible
 from .scalars import pow as scalar_pow
 
 __all__ = [
@@ -662,7 +662,7 @@ def parse_matrix(text: str) -> Matrix:
     if not lines:
         raise ValueError("empty matrix text")
     try:
-        n = int(lines[0])
+        n = parse_int(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
     if n < 1:

@@ -16,6 +16,13 @@ On top of these sit the mechanical support/evaluation checks used by the
 verification harness.  Orders are capped (default 4): the construction is a
 full symbolic expansion and explodes combinatorially beyond that.
 
+Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
+``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
+hold exactly, ghost tags included.  The per-matrix checks therefore read
+alpha and beta for every k from one kernel pass over ``A`` and evaluate only
+gamma term by term; ``engine="both"`` also evaluates alpha and beta
+symbolically and raises :class:`InternalError` on any disagreement.
+
 Variable indices in the public helpers are 1-based (``v11`` is the top-left
 entry), matching the printed form ``v{row}{col}``.
 """
@@ -26,8 +33,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import OrderTooLarge, Singular
-from .matrices import Matrix, is_nonsingular
+from .errors import InternalError, OrderTooLarge, Singular
+from .matrices import Matrix, _det_and_adjoint, char_poly, det_power
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
 
 __all__ = [
@@ -383,16 +390,6 @@ def claim2_check(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Claim2Report:
     return Claim2Report(n=n, k=k, gamma_terms=len(gamma), missing=missing)
 
 
-def claim3_check(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> Claim3Report:
-    """Exact equality of beta and gamma evaluated at a non-singular matrix."""
-    if not is_nonsingular(A):
-        raise Singular("claim 3 is stated for non-singular matrices")
-    n = A.n
-    beta = build_beta(n, k, cap)
-    gamma = build_gamma(n, k, cap)
-    return Claim3Report(n=n, k=k, beta_value=evaluate(beta, A), gamma_value=evaluate(gamma, A))
-
-
 def _exists_addend(target: Scalar, base: Scalar) -> bool:
     """True iff some x (any element) satisfies ``target = base + x``."""
     if target == base:
@@ -406,20 +403,59 @@ def _exists_addend(target: Scalar, base: Scalar) -> bool:
     return target.tag == 0 and target.value == base.value
 
 
-def decomposition_checks(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> DecompositionReport:
-    if not is_nonsingular(A):
-        raise Singular("the decomposition checks are stated for non-singular matrices")
+def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"):
+    """``(Claim3Report, DecompositionReport)`` of ``A`` for each k in ``ks``.
+
+    One kernel pass gives ``det A``, ``adj A`` and the characteristic
+    coefficients of both, from which alpha(A) and beta(A) are read for every
+    k; the same pass settles non-singularity.  Only gamma is evaluated term
+    by term.  Under ``engine="both"`` alpha and beta are also evaluated
+    symbolically, and a disagreement raises :class:`InternalError`.
+    """
     n = A.n
-    alpha_value = evaluate(build_alpha(n, k, cap), A)
-    beta_value = evaluate(build_beta(n, k, cap), A)
-    u_exists = _exists_addend(alpha_value, beta_value)
-    tangible_case_ok = (not alpha_value.is_tangible) or _exists_addend(beta_value, alpha_value)
-    return DecompositionReport(
-        n=n,
-        k=k,
-        alpha_value=alpha_value,
-        beta_value=beta_value,
-        u_exists=u_exists,
-        tangible_case_ok=tangible_case_ok,
-        surpasses=ghost_surpasses(alpha_value, beta_value),
-    )
+    for k in ks:
+        _check_caps(n, k, cap, 1)
+    d, adj = _det_and_adjoint(A, engine)
+    if not d.is_tangible:
+        raise Singular("claim 3 is stated for non-singular matrices")
+    chi = char_poly(A, engine).coeffs
+    chi_adj = char_poly(adj, engine).coeffs
+    reports = []
+    for k in ks:
+        alpha_value = chi_adj[k]
+        beta_value = mul(det_power(d, k - 1), chi[n - k])
+        if engine == "both":
+            for name, kernel, build in (("alpha", alpha_value, build_alpha),
+                                        ("beta", beta_value, build_beta)):
+                symbolic = evaluate(build(n, k, cap), A)
+                if kernel != symbolic:
+                    raise InternalError(
+                        f"{name}_{{{n},{k}}}(A) disagrees: kernel {kernel.token}, "
+                        f"symbolic {symbolic.token}"
+                    )
+        gamma_value = evaluate(build_gamma(n, k, cap), A)
+        reports.append((
+            Claim3Report(n=n, k=k, beta_value=beta_value, gamma_value=gamma_value),
+            DecompositionReport(
+                n=n,
+                k=k,
+                alpha_value=alpha_value,
+                beta_value=beta_value,
+                u_exists=_exists_addend(alpha_value, beta_value),
+                tangible_case_ok=(
+                    not alpha_value.is_tangible or _exists_addend(beta_value, alpha_value)
+                ),
+                surpasses=ghost_surpasses(alpha_value, beta_value),
+            ),
+        ))
+    return reports
+
+
+def claim3_check(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> Claim3Report:
+    """Exact equality of beta and gamma evaluated at a non-singular matrix."""
+    return _claims_reports(A, (k,), cap)[0][0]
+
+
+def decomposition_checks(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> DecompositionReport:
+    """The three decompositions of alpha(A) against beta(A), A non-singular."""
+    return _claims_reports(A, (k,), cap)[0][1]

@@ -32,6 +32,7 @@ __all__ = [
     "ghost",
     "parse_scalar",
     "parse_rational",
+    "parse_int",
     "format_scalar",
 ]
 
@@ -41,6 +42,7 @@ _GHOST = 0
 # Integers and fractions only: ``Fraction`` on its own would also take
 # decimals, exponents, underscores and a leading ``+``.
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _canonical(value):
@@ -206,6 +208,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"bad rational {text!r}") from exc
+
+
+def parse_int(text: str) -> int:
+    """Parse ``-?digits`` in ASCII; unlike ``int`` refuses ``+``, ``_`` and
+    non-ASCII digits.  Raises ValueError on anything else."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
 
 
 def parse_scalar(token: str) -> Scalar:

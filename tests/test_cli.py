@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from supertrop import matrices, tangible
+from supertrop import matrices, mul, polynomials, tangible
 from supertrop.cli import main, parse_ks, parse_n_range, parse_probs
 
 
@@ -58,6 +58,7 @@ class TestMain:
         assert main(["--mode", "conjecture", "--n", "oops"]) == 2
         assert main(["--mode", "wat"]) == 2
         assert main([]) == 2  # --mode is required
+        assert main(["--mode", "conjecture", "--trials", "1_0"]) == 2
 
     def test_bad_probs_exit_2(self, capsys):
         assert main(["--mode", "conjecture", "--probs", "0.9,0.2,0.1"]) == 2
@@ -155,6 +156,26 @@ class TestMain:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("supertrop: internal error: determinant engines disagree")
+
+    @pytest.mark.parametrize("side", ["kernel", "symbolic"])
+    def test_claims_symbolic_disagreement_exits_3(self, side, monkeypatch, capsys):
+        if side == "kernel":
+            monkeypatch.setattr(polynomials, "det_power", lambda d, m: tangible(999))
+        else:
+            evaluate = polynomials.evaluate
+            monkeypatch.setattr(polynomials, "evaluate", lambda p, A: mul(tangible(1), evaluate(p, A)))
+        code = main(["--mode", "claims", "--n", "2", "--trials", "1", "--engine", "both"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("supertrop: internal error: ") and "disagrees: kernel" in err
+
+    @pytest.mark.parametrize("engine", ["brute", "both"])
+    def test_brute_force_order_cap_refused_before_any_record(self, engine, capsys):
+        code = main(["--mode", "conjecture", "--engine", engine, "--n", "8..9", "--trials", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"engine {engine} needs order <= 8 (brute force), got 9" in captured.err
 
     def test_pretty(self, capsys):
         code = main(["--mode", "bench", "--n", "2", "--trials", "1", "--format", "pretty"])

@@ -52,6 +52,8 @@ class TestConfig:
             {"mode": "detcross", "n_values": (2, 10)},
             {"mode": "bench", "n_values": tuple(range(2, 11))},
             {"mode": "oracle", "n_values": (13,)},
+            {"mode": "conjecture", "engine": "brute", "n_values": (8, 9)},
+            {"mode": "conjecture", "engine": "both", "n_values": (9,)},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
@@ -70,6 +72,7 @@ class TestConfig:
         TrialConfig(mode="bench", n_values=tuple(range(2, 10))).validate()
         TrialConfig(mode="oracle", n_values=(12,)).validate()
         TrialConfig(mode="conjecture", n_values=(13,)).validate()
+        TrialConfig(mode="conjecture", engine="both", n_values=(8,)).validate()
 
     @pytest.mark.parametrize("mode, token", [("detcross", "0t"), ("oracle", "1")])
     def test_input_order_cap(self, mode, token):

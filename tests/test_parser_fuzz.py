@@ -3,8 +3,13 @@
 The text strategies mix arbitrary text with near-miss inputs built from the
 parsers' own alphabets, so that most examples get past the first check.
 Each example must finish within the deadline: a parser that builds something
-proportional to a number in its input would miss it.
+proportional to a number in its input would miss it.  Integers (orders,
+``--n`` ends, ``--k`` values) are ASCII ``-?[0-9]+`` only, like the numbers
+of the scalar token grammar: ``int`` alone would also take ``+1``, ``1_0``
+and non-ASCII digits.
 """
+
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +50,14 @@ def matrix_texts(entries):
     ).map(lambda t: "\n".join([t[0], *t[1]]) + "\n")
 
 
+def ascii_integer(text):
+    return re.fullmatch(r"-?[0-9]+", text) is not None
+
+
+def order_line(text):
+    return next(line.strip() for line in text.splitlines() if line.strip())
+
+
 def parses_or_value_error(parse, text):
     try:
         return parse(text)
@@ -61,16 +74,20 @@ def test_parse_scalar(text):
 
 @fuzz
 @given(st.one_of(st.text(), matrix_texts(tokens)))
+@example("\u0661\n3t\n")  # an Arabic-Indic one as the order
 def test_parse_matrix(text):
     result = parses_or_value_error(parse_matrix, text)
-    assert result is None or isinstance(result, Matrix)
+    assert result is None or (isinstance(result, Matrix) and ascii_integer(order_line(text)))
 
 
 @fuzz
 @given(st.one_of(st.text(), matrix_texts(st.one_of(numbers, st.text(max_size=4)))))
+@example("+1\n3\n")
 def test_parse_rational_matrix(text):
     result = parses_or_value_error(parse_rational_matrix, text)
-    assert result is None or all(len(row) == len(result) for row in result)
+    assert result is None or (
+        all(len(row) == len(result) for row in result) and ascii_integer(order_line(text))
+    )
 
 
 @fuzz
@@ -85,16 +102,22 @@ def test_parse_probs(text):
 # Both of these once built a tuple of 10**9 orders before any check ran.
 @example("1..1000000000")
 @example("-1000000000..1")
+@example("1_0")
 def test_parse_n_range(text):
     result = parses_or_value_error(parse_n_range, text)
     assert result is None or (
         result == tuple(range(result[0], result[-1] + 1))
         and 1 <= result[0] <= result[-1] <= max(ORDER_CAPS.values())
+        and all(ascii_integer(end) for end in text.strip().split(".."))
     )
 
 
 @fuzz
 @given(st.one_of(st.text(), near_miss(st.integers(-(10**20), 10**20).map(str), ",")))
+@example("+2")
 def test_parse_ks(text):
     result = parses_or_value_error(parse_ks, text)
-    assert result is None or result == tuple(sorted(set(result)))
+    assert result is None or (
+        result == tuple(sorted(set(result)))
+        and all(ascii_integer(part.strip()) for part in text.split(","))
+    )

@@ -31,6 +31,7 @@ from supertrop import (
 from supertrop.matrices import adjoint, is_nonsingular
 from supertrop.polynomials import (
     Poly,
+    _claims_reports,
     _exists_addend,
     unit_poly,
     variable,
@@ -253,6 +254,23 @@ class TestClaims:
                     assert decomposition_checks(M, k).ok, (M, k)
                 checked += 1
         assert checked > 40
+
+    def test_kernel_values_equal_symbolic_evaluation(self):
+        # Trials read alpha(A) and beta(A) from one kernel pass; the symbolic
+        # polynomials, evaluated term by term, are the reference.
+        for n in (2, 3, 4):
+            rng = Xorshift64Star(900 + n)
+            checked = 0
+            while checked < 100:
+                M = random_matrix(rng, n, 4)
+                if not is_nonsingular(M):
+                    continue
+                checked += 1
+                for c3, dec in _claims_reports(M, range(1, n + 1)):
+                    k = dec.k
+                    assert dec.alpha_value == evaluate(build_alpha(n, k), M), (M, k)
+                    assert dec.beta_value == evaluate(build_beta(n, k), M), (M, k)
+                    assert c3.beta_value == dec.beta_value, (M, k)
 
     def test_exists_addend_matches_search(self):
         values = [-2, -1, 0, 1, 2]
