@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from .errors import Singular
-from .scalars import parse_int, parse_rational
+from .scalars import parse_grid, parse_rational
 
 __all__ = [
     "as_rational_matrix",
@@ -334,24 +334,4 @@ def reciprocal_check(X, k: int) -> bool:
 
 def parse_rational_matrix(text: str):
     """Same layout as the supertropical matrix format, tokens bare rationals."""
-    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
-    if not lines:
-        raise ValueError("empty matrix text")
-    try:
-        n = parse_int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(tokens)} in {line!r}")
-        try:
-            rows.append([parse_rational(tok) for tok in tokens])
-        except ValueError as exc:
-            raise ValueError(f"bad rational token in {line!r}") from exc
-    return as_rational_matrix(rows)
+    return as_rational_matrix(parse_grid(text, parse_rational))

@@ -15,8 +15,10 @@ per order.  ``--bound`` is at most ``2**63 - 1`` and the ``--probs`` values
 (``-?digits(/digits)?`` or ``digits.digits``) need a common denominator of at
 most ``2**64``; anything else exits 2.  So does an order above the mode's cap
 in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
-``BRUTE_CAP`` under ``--engine brute`` or ``both``, and an integer flag value
-(or ``--input`` order line) that is not ASCII ``-?digits``.
+``BRUTE_CAP`` under ``--engine brute`` or ``both``, an integer flag value
+(or ``--input`` order line) that is not ASCII ``-?digits``, and a ``--k``
+filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
+``0..n`` in ``conjecture`` and ``oracle``) at any order of the run.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 from .harness import DEFAULT_PROBS, MODES, ORDER_CAPS, TrialConfig, check_order, run
 from .errors import InternalError, RejectionLimit
+from .matrices import ENGINES
 from .scalars import parse_int, parse_rational
 
 __all__ = ["main", "build_parser"]
@@ -84,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--probs", default=None, metavar="T,G,E",
                         help="tangible,ghost,eps probabilities; exact rationals or decimals "
                              "(default 0.8,0.15,0.05)")
-    parser.add_argument("--engine", default="auto", choices=("auto", "brute", "assignment", "both"),
-                        help="determinant engine (auto: subset DP up to order 9, assignment above; "
-                             "both: all three engines, cross-checked)")
+    parser.add_argument("--engine", default="auto", choices=ENGINES,
+                        help="determinant engine (auto: the subset-DP kernel at every order; "
+                             "both: the kernel, brute force and assignment, cross-checked)")
     parser.add_argument("--allow-singular", action="store_true",
                         help="conjecture mode: keep singular draws and check k >= 1 only (exploratory)")
     parser.add_argument("--input", default=None, metavar="FILE",

@@ -31,7 +31,7 @@ from . import classical
 from .errors import RejectionLimit
 from .matrices import (
     BRUTE_CAP,
-    DP_CAP,
+    ENGINES,
     Matrix,
     conjecture_check,
     det,
@@ -63,14 +63,11 @@ REJECTION_LIMIT = 10_000
 DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
 
 #: Largest order each mode accepts, through ``--n`` or ``--input``.  Brute
-#: force in ``detcross`` and ``bench`` grows as n!, and above ``DP_CAP`` the
-#: ``auto`` determinant of ``detcross`` is the assignment engine it is
-#: compared with; one ``oracle`` trial takes about 0.75 s at order 12 and 6 s
-#: at order 14; one ``conjecture`` trial (seed 42, a 2-vCPU CPython 3.11
-#: host) takes 1.5 s at order 12 and 3.5 s at 13, each order multiplying the
-#: time by about 2.4.
-ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": DP_CAP, "bench": DP_CAP, "oracle": 12,
-              "conjecture": 13}
+#: force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial takes
+#: about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
+#: (mean of three at seed 42, a 2-vCPU CPython 3.11 host) takes 0.36 s at
+#: order 12 and 1.04 s at 13, most of it in the kernel's principal-minor pass.
+ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "conjecture": 13}
 
 
 @dataclass
@@ -103,13 +100,15 @@ class TrialConfig:
             raise ValueError("probabilities need a common denominator of at most 2**64")
         if len(self.probs) != 3 or any(p < 0 for p in self.probs) or sum(self.probs) != 1:
             raise ValueError(f"probabilities must be three non-negative values summing to 1, got {self.probs}")
-        if self.engine not in ("auto", "brute", "assignment", "both"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.ks is not None and any(k < 0 for k in self.ks):
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
         check_order(self.mode, max(self.n_values))
+        if self.input_text is None:
+            self.check_ks(max(self.n_values))
         if self.engine in ("brute", "both") and max(self.n_values) > BRUTE_CAP:
             raise ValueError(
                 f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), "
@@ -120,6 +119,14 @@ class TrialConfig:
 
     def trial_n(self, index: int) -> int:
         return self.n_values[index % len(self.n_values)]
+
+    def check_ks(self, top: int):
+        """Refuse a ``ks`` filter that keeps no k of the mode's per-k checks
+        at any order up to ``top``: such a run would check nothing."""
+        lo = {"conjecture": 0, "claims": 1, "oracle": 0}.get(self.mode)  # the lowest k checked
+        if self.ks is not None and lo is not None and not any(lo <= k <= top for k in self.ks):
+            ks = ",".join(map(str, self.ks))
+            raise ValueError(f"k filter {ks} keeps no k in {lo}..{top} for {self.mode} mode")
 
     def k_values(self, lo: int, n: int) -> list:
         """The k in ``lo..n`` that the ``ks`` filter keeps."""
@@ -312,6 +319,7 @@ def _bench_rows(cfg):
         for engine, fn in (
             ("brute", lambda: det_brute(A, cap=n)),
             ("assignment", lambda: det_assignment(A)),
+            ("kernel", lambda: det(A)),
         ):
             start = time.perf_counter()
             for _ in range(repeats):
@@ -348,7 +356,9 @@ def _trial_records(cfg):
     draw, parse, record = _SUITES[cfg.mode]
     if cfg.input_text is not None:
         matrix = parse(cfg.input_text)
-        check_order(cfg.mode, matrix.n if isinstance(matrix, Matrix) else len(matrix))
+        n = matrix.n if isinstance(matrix, Matrix) else len(matrix)
+        check_order(cfg.mode, n)
+        cfg.check_ks(n)
         yield record(cfg, 0, matrix, None, 0)
         return
     for index in range(cfg.trials):

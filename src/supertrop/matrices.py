@@ -13,10 +13,11 @@ Three determinant engines with an identical output contract:
   permutation by re-solving with each matched edge forbidden, and derives
   the tangible/ghost tag from uniqueness plus the tags along the optimum.
 
-The ``auto`` engine runs the kernel up to order :data:`DP_CAP` and the
-assignment engine above; ``brute`` and ``assignment`` compute each minor
-separately; ``both`` runs all three and raises :class:`InternalError` on
-any disagreement.
+The ``auto`` engine is the kernel at every order, so it costs O(n 2^n)
+time and memory for a determinant and O(3^n) for the characteristic
+coefficients; ``brute`` and ``assignment`` compute each minor separately;
+``both`` runs all three and raises :class:`InternalError` on any
+disagreement.  The engine names are :data:`ENGINES`.
 
 On top of the determinant sit unsigned cofactors, the adjoint (transposed
 cofactor grid), the characteristic coefficients (sums of principal minors),
@@ -32,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InternalError, OrderTooLarge, Singular
-from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_int, parse_scalar, tangible
+from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_grid, parse_scalar, tangible
 from .scalars import pow as scalar_pow
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
     "ConjectureCase",
     "ConjectureReport",
     "BRUTE_CAP",
-    "DP_CAP",
+    "ENGINES",
     "det",
     "det_brute",
     "det_assignment",
@@ -59,15 +60,8 @@ __all__ = [
 #: Default order cap for the brute-force engine (``brute`` and ``both``).
 BRUTE_CAP = 8
 
-#: Largest order at which ``auto`` uses the subset-DP kernel; above it each
-#: determinant goes to the assignment engine.  Per determinant of the default
-#: entry distribution on a 2-vCPU CPython 3.11 host (median of five
-#: alternated repeats over 20 matrices) the kernel took 0.20 ms against
-#: 0.40 ms at n = 8, 0.69 ms against 0.82 ms at n = 9 and 1.5 ms against
-#: 1.1 ms at n = 10.
-DP_CAP = 9
-
-_ENGINES = ("auto", "brute", "assignment", "both")
+#: The determinant engines, by name.
+ENGINES = ("auto", "brute", "assignment", "both")
 
 
 class Matrix:
@@ -423,34 +417,29 @@ def _det_dp_cells(cells):
 
 def _det_cells(cells, engine, cap):
     if engine == "auto":
-        if len(cells) <= DP_CAP:
-            return _det_dp_cells(cells)
-        return _det_assignment_cells(cells)
-    if engine == "brute":
-        if len(cells) > cap:
-            raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
-        return _det_brute_cells(cells)
+        return _det_dp_cells(cells)
     if engine == "assignment":
         return _det_assignment_cells(cells)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if len(cells) > cap:
+        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
+    b = _det_brute_cells(cells)
     if engine == "both":
-        if len(cells) > cap:
-            raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
         d = _det_dp_cells(cells)
-        b = _det_brute_cells(cells)
         a = _det_assignment_cells(cells)
         if not d == b == a:
             raise InternalError(
                 f"determinant engines disagree: dp={d.token} brute={b.token} assignment={a.token}"
             )
-        return d
-    raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    return b
 
 
-def _batched(engine, n):
+def _batched(engine):
     """Whether ``engine`` takes a whole family of minors from one kernel pass."""
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    return engine == "both" or (engine == "auto" and n <= DP_CAP)
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return engine in ("auto", "both")
 
 
 def _agree(what, kernel, per_minor):
@@ -460,9 +449,7 @@ def _agree(what, kernel, per_minor):
 
 def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
     """Reference determinant: semiring sum over all permutation products."""
-    if A.n > cap:
-        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {A.n}")
-    return _det_brute_cells(A.rows)
+    return _det_cells(A.rows, "brute", cap)
 
 
 def det_assignment(A: Matrix) -> Scalar:
@@ -473,10 +460,11 @@ def det_assignment(A: Matrix) -> Scalar:
 def det(A: Matrix, engine: str = "auto", cap: int = BRUTE_CAP) -> Scalar:
     """Determinant with engine selection.
 
-    ``auto`` runs the subset-DP kernel up to order :data:`DP_CAP` and the
-    assignment engine above; ``both`` runs the kernel, brute force and the
-    assignment engine and raises :class:`InternalError` if they ever
-    disagree.  ``cap`` bounds the brute-force engine.
+    ``auto`` runs the subset-DP kernel, whose O(n 2^n) time and memory
+    bound the order in practice (``assignment`` is polynomial); ``both``
+    runs the kernel, brute force and the assignment engine and raises
+    :class:`InternalError` if they ever disagree.  ``cap`` bounds the
+    brute-force engine.
     """
     return _det_cells(A.rows, engine, cap)
 
@@ -524,7 +512,7 @@ def _adjoint_by_minors(A, engine):
 
 def _det_and_adjoint(A, engine):
     """``(det A, adj A)``; one kernel pass where the engine batches."""
-    if not _batched(engine, A.n):
+    if not _batched(engine):
         return det(A, engine), adjoint(A, engine)
     n = A.n
     d, cof = _cofactor_dp(_raw(A.rows))
@@ -538,7 +526,7 @@ def _det_and_adjoint(A, engine):
 
 def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
     """The matrix whose (i, j) entry is the (j, i) cofactor of ``A``."""
-    if _batched(engine, A.n):
+    if _batched(engine):
         return _det_and_adjoint(A, engine)[1]
     return _adjoint_by_minors(A, engine)
 
@@ -562,7 +550,7 @@ def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
     Where the engine batches, one cycle-cover pass gives every coefficient;
     otherwise each minor is a separate determinant.
     """
-    if not _batched(engine, A.n):
+    if not _batched(engine):
         return _char_poly_by_minors(A, engine)
     cp = CharPoly(A.n, tuple(_scalar(c) for c in _principal_sums(_raw(A.rows))))
     if engine == "both":
@@ -608,6 +596,21 @@ class ConjectureReport:
         return all(case.holds for case in self.cases)
 
 
+def _surpassing_sides(A, engine):
+    """``(det A, sides)`` from one kernel pass where the engine batches:
+    ``sides[k]`` is ``(chi_k(adj A), det(A)^(k-1) * chi_{n-k}(A))``, k = 0..n,
+    and ``sides[0]`` is ``None`` unless ``det A`` is tangible."""
+    n = A.n
+    d, adj = _det_and_adjoint(A, engine)
+    chi = char_poly(A, engine).coeffs
+    chi_adj = char_poly(adj, engine).coeffs
+    sides = [
+        (chi_adj[k], mul(det_power(d, k - 1), chi[n - k])) if k or d.is_tangible else None
+        for k in range(n + 1)
+    ]
+    return d, sides
+
+
 def conjecture_check(
     A: Matrix,
     engine: str = "auto",
@@ -627,30 +630,20 @@ def conjecture_check(
     no correctness claim attaches to it.
     """
     n = A.n
-    d, adj = _det_and_adjoint(A, engine)
+    k_list = range(n + 1) if ks is None else sorted(set(ks))
+    for k in k_list:
+        if not (0 <= k <= n):
+            raise ValueError(f"k must lie in 0..{n}, got {k}")
+    d, sides = _surpassing_sides(A, engine)
     singular = not d.is_tangible
     if singular and not allow_singular:
         raise Singular(f"surpassing check needs a non-singular matrix, determinant is {d.token}")
-
-    if ks is None:
-        k_list = list(range(n + 1))
-    else:
-        k_list = sorted(set(ks))
-        for k in k_list:
-            if not (0 <= k <= n):
-                raise ValueError(f"k must lie in 0..{n}, got {k}")
-    if singular:
-        k_list = [k for k in k_list if k >= 1]
-
-    chi = char_poly(A, engine)
-    chi_adj = char_poly(adj, engine)
-
-    cases = []
-    for k in k_list:
-        lhs = chi_adj.coeffs[k]
-        rhs = mul(det_power(d, k - 1), chi.coeffs[n - k])
-        cases.append(ConjectureCase(k, lhs, rhs, ghost_surpasses(lhs, rhs)))
-    return ConjectureReport(n, d, singular, tuple(cases))
+    cases = tuple(
+        ConjectureCase(k, *sides[k], ghost_surpasses(*sides[k]))
+        for k in k_list
+        if sides[k] is not None  # k = 0 of a singular matrix
+    )
+    return ConjectureReport(n, d, singular, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -658,24 +651,7 @@ def conjecture_check(
 
 
 def parse_matrix(text: str) -> Matrix:
-    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
-    if not lines:
-        raise ValueError("empty matrix text")
-    try:
-        n = parse_int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
-    if n < 1:
-        raise ValueError(f"order must be at least 1, got {n}")
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
-    rows = []
-    for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(tokens)} in {line!r}")
-        rows.append([parse_scalar(tok) for tok in tokens])
-    return Matrix(rows)
+    return Matrix(parse_grid(text, parse_scalar))
 
 
 def format_matrix(A: Matrix) -> str:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalError, OrderTooLarge, Singular
-from .matrices import Matrix, _det_and_adjoint, char_poly, det_power
+from .matrices import Matrix, _surpassing_sides
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
 
 __all__ = [
@@ -406,24 +406,21 @@ def _exists_addend(target: Scalar, base: Scalar) -> bool:
 def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"):
     """``(Claim3Report, DecompositionReport)`` of ``A`` for each k in ``ks``.
 
-    One kernel pass gives ``det A``, ``adj A`` and the characteristic
-    coefficients of both, from which alpha(A) and beta(A) are read for every
-    k; the same pass settles non-singularity.  Only gamma is evaluated term
-    by term.  Under ``engine="both"`` alpha and beta are also evaluated
+    alpha(A) and beta(A) are the two sides of the surpassing check, read for
+    every k from the kernel pass that :func:`matrices.conjecture_check` uses;
+    the same pass settles non-singularity.  Only gamma is evaluated term by
+    term.  Under ``engine="both"`` alpha and beta are also evaluated
     symbolically, and a disagreement raises :class:`InternalError`.
     """
     n = A.n
     for k in ks:
         _check_caps(n, k, cap, 1)
-    d, adj = _det_and_adjoint(A, engine)
+    d, sides = _surpassing_sides(A, engine)
     if not d.is_tangible:
         raise Singular("claim 3 is stated for non-singular matrices")
-    chi = char_poly(A, engine).coeffs
-    chi_adj = char_poly(adj, engine).coeffs
     reports = []
     for k in ks:
-        alpha_value = chi_adj[k]
-        beta_value = mul(det_power(d, k - 1), chi[n - k])
+        alpha_value, beta_value = sides[k]
         if engine == "both":
             for name, kernel, build in (("alpha", alpha_value, build_alpha),
                                         ("beta", beta_value, build_beta)):

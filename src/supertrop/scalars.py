@@ -33,6 +33,7 @@ __all__ = [
     "parse_scalar",
     "parse_rational",
     "parse_int",
+    "parse_grid",
     "format_scalar",
 ]
 
@@ -230,3 +231,26 @@ def parse_scalar(token: str) -> Scalar:
     except ValueError as exc:
         raise ValueError(f"bad scalar token {token!r}") from exc
     return Scalar(value, _TANGIBLE if token[-1] == "t" else _GHOST)
+
+
+def parse_grid(text: str, parse_token) -> list:
+    """Rows of the matrix text format: the order n >= 1, then n lines of n
+    tokens, each read by ``parse_token``; raises ValueError on anything else."""
+    lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
+    if not lines:
+        raise ValueError("empty matrix text")
+    try:
+        n = parse_int(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ValueError(f"expected {n} entries per row, got {len(tokens)} in {line!r}")
+        rows.append([parse_token(tok) for tok in tokens])
+    return rows

@@ -117,6 +117,25 @@ class TestMain:
             assert main(["--mode", mode, "--input", str(path)]) == 2
             assert message in capsys.readouterr().err
 
+    def test_conjecture_at_the_top_order_cap(self, capsys):
+        assert main(["--mode", "conjecture", "--n", "13", "--trials", "1"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["n"] == 13 and row["ok"]
+
+    def test_ks_filter_that_checks_nothing_exits_2(self, tmp_path, capsys):
+        for mode, ks in (("claims", "5"), ("claims", "0"), ("conjecture", "3"), ("oracle", "3")):
+            assert main(["--mode", mode, "--n", "2", "--trials", "2", "--k", ks]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"k filter {ks} keeps no k in" in captured.err
+        path = tmp_path / "m.txt"
+        path.write_text("2\n3t 0t\n1t 4t\n")
+        assert main(["--mode", "claims", "--input", str(path), "--k", "3"]) == 2
+        assert capsys.readouterr().out == ""
+        # The default --n is 3, but an --input matrix of order 4 takes k = 4.
+        path.write_text("4\n" + "0t 1t 2t 3t\n" * 3 + "3t 2t 1t 0t\n")
+        assert main(["--mode", "conjecture", "--allow-singular", "--input", str(path), "--k", "4"]) == 0
+
     def test_huge_order_range_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
         assert main(["--mode", "conjecture", "--n", "1..1000000000", "--trials", "1"]) == 2
@@ -160,7 +179,7 @@ class TestMain:
     @pytest.mark.parametrize("side", ["kernel", "symbolic"])
     def test_claims_symbolic_disagreement_exits_3(self, side, monkeypatch, capsys):
         if side == "kernel":
-            monkeypatch.setattr(polynomials, "det_power", lambda d, m: tangible(999))
+            monkeypatch.setattr(matrices, "det_power", lambda d, m: tangible(999))
         else:
             evaluate = polynomials.evaluate
             monkeypatch.setattr(polynomials, "evaluate", lambda p, A: mul(tangible(1), evaluate(p, A)))

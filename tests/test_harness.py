@@ -196,12 +196,12 @@ class TestRun:
         code, out, err = run_capture(cfg)
         assert code == 0
         rows = records(out)
-        assert len(rows) == 4  # two engines per order
+        assert len(rows) == 6  # three engines per order
         for row in rows:
             assert row["mode"] == "bench"
-            assert row["engine"] in ("brute", "assignment")
+            assert row["engine"] in ("brute", "assignment", "kernel")
             assert row["seconds_total"] >= 0
-        # Both engines computed the same determinant for each order.
+        # The three engines computed the same determinant for each order.
         by_n = {}
         for row in rows:
             by_n.setdefault(row["n"], set()).add(row["det"])

@@ -77,15 +77,22 @@ class TestDeterminants:
             det(M, engine="brute")
         assert det(M) == tangible(0)  # auto is not bound by the brute-force cap
 
-    def test_auto_crossover(self, monkeypatch):
+    def test_auto_is_the_kernel_above_order_9(self, monkeypatch):
+        # ``auto`` runs no assignment solve at any order, and its det,
+        # adjoint and char_poly equal the assignment engine's minor by minor.
         sizes = []
         real = matrices._det_assignment_cells
         monkeypatch.setattr(
             matrices, "_det_assignment_cells", lambda cells: sizes.append(len(cells)) or real(cells)
         )
-        cap = matrices.DP_CAP
-        assert det(Matrix.identity(cap)) == tangible(0) and sizes == []
-        assert det(Matrix.identity(cap + 1)) == tangible(0) and sizes == [cap + 1]
+        for n in (10, 11):
+            for M in seeded_matrices(4000 + n, 2, n, bound=3):
+                auto = (det(M), adjoint(M), char_poly(M))
+                assert sizes == [], M
+                engine = "assignment"
+                assert auto == (det(M, engine), adjoint(M, engine), char_poly(M, engine)), M
+                assert sizes
+                sizes.clear()
 
     def test_engine_equivalence_seeded(self):
         # The brute engine is the oracle for the assignment engine and for
