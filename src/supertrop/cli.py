@@ -18,12 +18,16 @@ in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
 ``BRUTE_CAP`` under ``--engine brute`` or ``both``, an integer flag value
 (or ``--input`` order line) that is not ASCII ``-?digits``, and a ``--k``
 filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
-``0..n`` in ``conjecture`` and ``oracle``) at any order of the run.
+``0..n`` in ``conjecture`` and ``oracle``) at any order of the run.  ``--k``
+in ``detcross`` or ``bench`` (no per-k checks) and ``--allow-singular``
+outside ``conjecture`` exit 2 as well, and so does a run whose stdout is
+closed before it ends (``| head``), without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -124,6 +128,18 @@ def _config_from_args(args) -> TrialConfig:
     return cfg
 
 
+def _point_at_devnull(stream):
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor behind it, so nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -137,6 +153,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg, sys.stdout, sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  What is still buffered goes
+        # to devnull, so the interpreter's final flush raises nothing.
+        _point_at_devnull(sys.stdout)
+        print("supertrop: stdout closed before the run finished", file=sys.stderr)
+        return 2
     except RejectionLimit as exc:
         print(f"supertrop: degenerate config: {exc}", file=sys.stderr)
         return 2

@@ -104,6 +104,10 @@ class TrialConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.ks is not None and any(k < 0 for k in self.ks):
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
+        if self.ks is not None and self.mode in ("detcross", "bench"):
+            raise ValueError(f"{self.mode} mode has no per-k checks, so it takes no k filter")
+        if self.allow_singular and self.mode != "conjecture":
+            raise ValueError(f"--allow-singular applies to conjecture mode only, not {self.mode} mode")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
         check_order(self.mode, max(self.n_values))
@@ -428,6 +432,7 @@ def run(cfg: TrialConfig, out, err) -> int:
             if not record["ok"]:
                 failures += 1
             _emit(cfg, out, record)
+    out.flush()  # a closed ``out`` fails here, before the summary, not at exit
 
     elapsed = round(time.perf_counter() - start, 3)
     summary = {

@@ -9,9 +9,10 @@ Three determinant engines with an identical output contract:
   determinant and every cofactor, and a cycle-cover DP gives every sum of
   principal minors;
 * ``det_assignment`` solves the max-weight perfect-matching problem on the
-  value grid with exact arithmetic, certifies uniqueness of the optimal
-  permutation by re-solving with each matched edge forbidden, and derives
-  the tangible/ghost tag from uniqueness plus the tags along the optimum.
+  value grid once, with exact arithmetic, in O(n^3); it reads uniqueness of
+  the optimal permutation off the final potentials (no cycle among the tight
+  edges, an O(n^2) search) and derives the tangible/ghost tag from
+  uniqueness plus the tags along the optimum.
 
 The ``auto`` engine is the kernel at every order, so it costs O(n 2^n)
 time and memory for a determinant and O(3^n) for the characteristic
@@ -148,10 +149,15 @@ def _best_assignment(weights):
     """Exact max-weight perfect matching on an n-by-n grid.
 
     ``weights[i][j]`` is an int/Fraction, or ``None`` for a forbidden edge.
-    Returns ``(sigma, total)`` with ``sigma[i]`` the column matched to row
-    ``i``, or ``None`` when no perfect matching avoids the forbidden edges.
+    Returns ``(sigma, total, tight)`` with ``sigma[i]`` the column matched to
+    row ``i`` and ``tight[i]`` the columns ``j`` whose edge ``(i, j)`` has
+    reduced cost 0 against the final potentials, or ``None`` when no perfect
+    matching avoids the forbidden edges.  The potentials are dual feasible
+    (no reduced cost is negative) and every matched edge is tight, so a
+    perfect matching has the optimal total iff all its edges are tight.
     Forbidden edges are priced with an exact big-M penalty, so feasibility
-    is read off the solution rather than special-cased.
+    is read off the solution rather than special-cased; nothing here keeps
+    one from ending tight, so callers skip them.
     """
     n = len(weights)
     finite = [w for row in weights for w in row if w is not None]
@@ -220,7 +226,36 @@ def _best_assignment(weights):
         if w is None:
             return None  # optimum needs a forbidden edge: infeasible
         total = total + w
-    return sigma, total
+    tight = [
+        [j for j in range(n) if cost[i][j] - u[i + 1] - v[j + 1] == 0]
+        for i in range(n)
+    ]
+    return sigma, total, tight
+
+
+def _has_cycle(succ):
+    """Whether the digraph on ``range(len(succ))`` with successor lists
+    ``succ`` has a directed cycle: one iterative depth-first search, linear
+    in its arcs."""
+    state = [0] * len(succ)  # 0 unseen, 1 on the search path, 2 finished
+    for root in range(len(succ)):
+        if state[root]:
+            continue
+        state[root] = 1
+        path = [(root, iter(succ[root]))]
+        while path:
+            node, arcs = path[-1]
+            for nxt in arcs:
+                if state[nxt] == 1:
+                    return True
+                if not state[nxt]:
+                    state[nxt] = 1
+                    path.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                state[node] = 2
+                path.pop()
+    return False
 
 
 def _det_assignment_cells(cells):
@@ -229,20 +264,20 @@ def _det_assignment_cells(cells):
     solved = _best_assignment(weights)
     if solved is None:
         return EPS
-    sigma, best = solved
-    # The optimum is non-unique iff forbidding some matched edge leaves an
-    # equally good matching.
-    unique = True
-    for i in range(n):
-        j = sigma[i]
-        saved = weights[i][j]
-        weights[i][j] = None
-        rival = _best_assignment(weights)
-        weights[i][j] = saved
-        if rival is not None and rival[1] == best:
-            unique = False
-            break
-    if not unique:
+    sigma, best, tight = solved
+    # A rival optimum is all tight edges, so it differs from sigma by cycles
+    # of the digraph on rows with an arc i -> (the row matched to j) for each
+    # tight non-eps edge (i, j) off sigma; sigma is unique iff it has none
+    # (Butkovic 1995).  Eps edges are priced, not absent, so they may be
+    # tight, but no permutation through one has a finite value.
+    row_of = [0] * n
+    for i, j in enumerate(sigma):
+        row_of[j] = i
+    succ = [
+        [row_of[j] for j in tight[i] if j != sigma[i] and weights[i][j] is not None]
+        for i in range(n)
+    ]
+    if _has_cycle(succ):
         return Scalar(best, 0)
     tag = 1
     for i in range(n):
@@ -453,7 +488,13 @@ def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
 
 
 def det_assignment(A: Matrix) -> Scalar:
-    """Assignment-problem determinant; same output contract as :func:`det_brute`."""
+    """Assignment-problem determinant; same output contract as :func:`det_brute`.
+
+    One exact assignment solve gives the optimal value and permutation; the
+    determinant is a ghost when a second permutation attains that value (a
+    cycle of tight edges against the final potentials), else it carries the
+    tags along the optimum.  O(n^3) for the solve, O(n^2) for the rest.
+    """
     return _det_assignment_cells(A.rows)
 
 

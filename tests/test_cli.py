@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -196,6 +197,39 @@ class TestMain:
         assert captured.out == ""
         assert f"engine {engine} needs order <= 8 (brute force), got 9" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "detcross", "--k", "5"],
+            ["--mode", "bench", "--k", "5", "--allow-singular"],
+            ["--mode", "bench", "--allow-singular"],
+            ["--mode", "detcross", "--allow-singular"],
+            ["--mode", "claims", "--allow-singular"],
+            ["--mode", "oracle", "--allow-singular"],
+        ],
+    )
+    def test_flag_the_mode_would_ignore_exits_2(self, argv, capsys):
+        assert main([*argv, "--n", "2", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("supertrop: config error: ")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout_exits_2_without_a_traceback(self, failing, monkeypatch, capsys):
+        class ClosedPipe:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["--mode", "conjecture", "--n", "1..3", "--trials", "30"]) == 2
+        err = capsys.readouterr().err  # no summary: the run did not deliver its records
+        assert err == "supertrop: stdout closed before the run finished\n"
+
     def test_pretty(self, capsys):
         code = main(["--mode", "bench", "--n", "2", "--trials", "1", "--format", "pretty"])
         assert code == 0
@@ -239,3 +273,18 @@ class TestSubprocess:
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.count(b"\n") == 6
+
+    @pytest.mark.parametrize("trials, lines_read", [(3000, 1), (5, 0)], ids=["head", "no-reader"])
+    def test_reader_that_stops_early(self, trials, lines_read):
+        # ``| head -1`` after far more output than a pipe holds, and a reader
+        # gone before a small, fully buffered run flushes at its end.
+        cmd = [sys.executable, "-m", "supertrop.cli", "--mode", "conjecture", "--n", "1..3", "--trials", str(trials)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert json.loads(proc.stdout.readline())["trial"] == 0
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert err == b"supertrop: stdout closed before the run finished\n"

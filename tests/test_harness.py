@@ -54,6 +54,12 @@ class TestConfig:
             {"mode": "oracle", "n_values": (13,)},
             {"mode": "conjecture", "engine": "brute", "n_values": (8, 9)},
             {"mode": "conjecture", "engine": "both", "n_values": (9,)},
+            {"mode": "detcross", "ks": (1,)},
+            {"mode": "bench", "ks": (1,)},
+            {"mode": "detcross", "allow_singular": True},
+            {"mode": "bench", "allow_singular": True},
+            {"mode": "claims", "allow_singular": True},
+            {"mode": "oracle", "allow_singular": True},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):

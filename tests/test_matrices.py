@@ -137,6 +137,83 @@ class TestDeterminants:
         assert det_brute(M) == expected == det_assignment(M)
 
 
+class TestAssignmentCertificate:
+    """One assignment solve per determinant; uniqueness of the optimum is a
+    cycle search among the tight edges of the final potentials."""
+
+    # The diagonal and the 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0 are the only
+    # permutations of value 0; every other one takes a -9 entry, and no two
+    # rows can swap columns at value 0.
+    FIVE_CYCLE = parse_matrix(
+        "5\n"
+        "0t 0t -9t -9t -9t\n"
+        "-9t 0t 0t -9t -9t\n"
+        "-9t -9t 0t 0t -9t\n"
+        "-9t -9t -9t 0t 0t\n"
+        "0t -9t -9t -9t 0t\n"
+    )
+    # The 3-cycle 0 -> 1 -> 2 -> 0 would tie the diagonal at value 0 if its
+    # eps edge (2, 0) counted; every finite rival takes a -9 entry.
+    EPS_RIVAL = parse_matrix("3\n0t 0t -9t\n-9t 0t 0t\ne -9t 0t\n")
+
+    def test_tie_heavy_against_brute_force(self):
+        ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+        sparse = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
+        outcomes = set()
+        for b, bound in enumerate((1, 2)):
+            for p, probs in enumerate((ghostly, sparse)):
+                for n in range(1, 8):
+                    seed = 5000 + 100 * b + 10 * p + n
+                    for M in seeded_matrices(seed, 40 if n <= 5 else 15, n, bound, probs):
+                        d = det_brute(M)
+                        assert det_assignment(M) == d, M
+                        outcomes.add("eps" if d.tag is None else d.is_tangible)
+        assert outcomes == {"eps", True, False}
+
+    def test_rival_one_long_cycle_away(self):
+        assert det_brute(self.FIVE_CYCLE) == ghost(0)
+        assert det_assignment(self.FIVE_CYCLE) == ghost(0)
+        assert det(self.FIVE_CYCLE) == ghost(0)
+
+    def test_rival_through_an_eps_edge_does_not_count(self):
+        assert det_brute(self.EPS_RIVAL) == tangible(0)
+        assert det_assignment(self.EPS_RIVAL) == tangible(0)
+
+    def test_every_optimum_is_tight(self):
+        import itertools
+
+        for n in range(1, 6):
+            for M in seeded_matrices(6000 + n, 30, n, bound=1):
+                weights = [[None if s.tag is None else s.value for s in row] for row in M.rows]
+                solved = matrices._best_assignment(weights)
+                totals = {}
+                for perm in itertools.permutations(range(n)):
+                    if all(weights[i][perm[i]] is not None for i in range(n)):
+                        totals[perm] = sum(weights[i][perm[i]] for i in range(n))
+                if not totals:
+                    assert solved is None, M
+                    continue
+                sigma, best, tight = solved
+                assert best == max(totals.values()) == totals[tuple(sigma)], M
+                for perm, total in totals.items():
+                    if total == best:
+                        assert all(perm[i] in tight[i] for i in range(n)), (M, perm)
+
+    def test_one_solve_per_determinant(self, monkeypatch):
+        calls = []
+        real = matrices._best_assignment
+        monkeypatch.setattr(matrices, "_best_assignment", lambda w: calls.append(1) or real(w))
+        sparse = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
+        outcomes = set()
+        for n in range(1, 7):
+            for M in seeded_matrices(7000 + n, 20, n, 1, sparse):
+                d = det_assignment(M)
+                assert len(calls) == 1, M
+                calls.clear()
+                outcomes.add("eps" if d.tag is None else d.is_tangible)
+        assert outcomes == {"eps", True, False}
+
+
 class TestInvariances:
     def permuted(self, M, perm):
         return Matrix([[M.rows[perm[i]][perm[j]] for j in range(M.n)] for i in range(M.n)])
