@@ -264,8 +264,11 @@ def _poly_mul(p, q):
     return out
 
 
-# A namedtuple, not a dataclass: building a dataclass costs about 1 ms at
-# import, which every CLI run pays.
+# Report records across the package are ``collections.namedtuple`` classes,
+# subclassed with ``__slots__ = ()`` where one needs a docstring or an ``ok``
+# property: immutable, compared by value, and built at import without the
+# decorator machinery (and its ``inspect``/``ast`` imports) that every CLI
+# run would otherwise pay for in set-up.
 OracleReport = collections.namedtuple("OracleReport", "det jacobi reciprocal")
 
 

@@ -19,9 +19,11 @@ in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
 (or ``--input`` order line) that is not ASCII ``-?digits``, and a ``--k``
 filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
 ``0..n`` in ``conjecture`` and ``oracle``) at any order of the run.  ``--k``
-in ``detcross`` or ``bench`` (no per-k checks) and ``--allow-singular``
-outside ``conjecture`` exit 2 as well, and so does a run whose stdout is
-closed before it ends (``| head``), without a traceback.
+in ``detcross`` or ``bench`` (no per-k checks), ``--allow-singular``
+outside ``conjecture`` and ``--engine`` other than ``auto`` outside
+``conjecture`` and ``claims`` (``detcross`` and ``bench`` run every engine,
+``oracle`` none) exit 2 as well, and so does a run whose stdout is closed
+before it ends (``| head``), without a traceback.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tangible,ghost,eps probabilities; exact rationals or decimals "
                              "(default 0.8,0.15,0.05)")
     parser.add_argument("--engine", default="auto", choices=ENGINES,
-                        help="determinant engine (auto: the subset-DP kernel at every order; "
-                             "both: the kernel, brute force and assignment, cross-checked)")
+                        help="conjecture and claims modes: determinant engine (auto: the subset-DP "
+                             "kernel at every order; both: the kernel, brute force and assignment, "
+                             "cross-checked); other modes take auto only")
     parser.add_argument("--allow-singular", action="store_true",
                         help="conjecture mode: keep singular draws and check k >= 1 only (exploratory)")
     parser.add_argument("--input", default=None, metavar="FILE",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classical
@@ -70,19 +69,35 @@ DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
 ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "conjecture": 13}
 
 
-@dataclass
 class TrialConfig:
-    mode: str
-    n_values: tuple = (3,)
-    trials: int = 100
-    seed: int = 42
-    bound: int = 20
-    probs: tuple = DEFAULT_PROBS
-    engine: str = "auto"
-    ks: tuple | None = None
-    allow_singular: bool = False
-    out_format: str = "jsonl"
-    input_text: str | None = None
+    """One run's settings, checked by :meth:`validate`; the CLI fills one in
+    from its flags."""
+
+    def __init__(
+        self,
+        mode: str,
+        n_values: tuple = (3,),
+        trials: int = 100,
+        seed: int = 42,
+        bound: int = 20,
+        probs: tuple = DEFAULT_PROBS,
+        engine: str = "auto",
+        ks: tuple | None = None,
+        allow_singular: bool = False,
+        out_format: str = "jsonl",
+        input_text: str | None = None,
+    ):
+        self.mode = mode
+        self.n_values = n_values
+        self.trials = trials
+        self.seed = seed
+        self.bound = bound
+        self.probs = probs
+        self.engine = engine
+        self.ks = ks
+        self.allow_singular = allow_singular
+        self.out_format = out_format
+        self.input_text = input_text
 
     def validate(self):
         if self.mode not in MODES:
@@ -102,6 +117,11 @@ class TrialConfig:
             raise ValueError(f"probabilities must be three non-negative values summing to 1, got {self.probs}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
+        if self.engine != "auto" and self.mode in ("detcross", "bench", "oracle"):
+            raise ValueError(
+                f"{self.mode} mode takes no --engine (only conjecture and claims use one), "
+                f"got {self.engine}"
+            )
         if self.ks is not None and any(k < 0 for k in self.ks):
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
         if self.ks is not None and self.mode in ("detcross", "bench"):

@@ -30,8 +30,8 @@ matrix convention; everything else is positional.
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass
 
 from .errors import InternalError, OrderTooLarge, Singular
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_grid, parse_scalar, tangible
@@ -105,13 +105,11 @@ class Matrix:
         return f"Matrix({self.n}: {body})"
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(collections.namedtuple("CharPoly", "n coeffs")):
     """Characteristic coefficients: ``coeffs[k]`` is the sum of all principal
     k-by-k minors, so ``coeffs[0]`` is the unit and ``coeffs[n]`` the determinant."""
 
-    n: int
-    coeffs: tuple
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +615,16 @@ def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
 # the surpassing check
 
 
-@dataclass(frozen=True)
-class ConjectureCase:
-    k: int
-    lhs: Scalar
-    rhs: Scalar
-    holds: bool
+class ConjectureCase(collections.namedtuple("ConjectureCase", "k lhs rhs holds")):
+    """One k of the check: ``holds`` iff the scalar ``lhs`` ghost-surpasses ``rhs``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
-    n: int
-    det: Scalar
-    singular: bool
-    cases: tuple
+class ConjectureReport(collections.namedtuple("ConjectureReport", "n det singular cases")):
+    """The per-k :class:`ConjectureCase` records of one matrix and its determinant."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

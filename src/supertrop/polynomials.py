@@ -29,8 +29,8 @@ entry), matching the printed form ``v{row}{col}``.
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InternalError, OrderTooLarge, Singular
@@ -305,59 +305,51 @@ def format_poly(p: Poly) -> str:
 # claim checks
 
 
-@dataclass(frozen=True)
-class Claim1Report:
+class Claim1Report(
+    collections.namedtuple("Claim1Report", "n k alpha_terms beta_terms violations")
+):
     """Support comparison of alpha and beta: every grid with a tangible
     coefficient on either side must appear (non-eps) on both sides."""
 
-    n: int
-    k: int
-    alpha_terms: int
-    beta_terms: int
-    violations: tuple
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class Claim2Report:
+class Claim2Report(collections.namedtuple("Claim2Report", "n k gamma_terms missing")):
     """gamma must be a sub-sum of alpha: its support inside alpha's support."""
 
-    n: int
-    k: int
-    gamma_terms: int
-    missing: tuple
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return not self.missing
 
 
-@dataclass(frozen=True)
-class Claim3Report:
-    n: int
-    k: int
-    beta_value: Scalar
-    gamma_value: Scalar
+class Claim3Report(collections.namedtuple("Claim3Report", "n k beta_value gamma_value")):
+    """beta(A) and gamma(A), which must be equal scalars."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.beta_value == self.gamma_value
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """The three scalar decompositions behind the surpassing theorem."""
+class DecompositionReport(
+    collections.namedtuple(
+        "DecompositionReport",
+        "n k alpha_value beta_value u_exists tangible_case_ok surpasses",
+    )
+):
+    """The three scalar decompositions behind the surpassing theorem:
+    ``u_exists``, some addend u with alpha(A) = beta(A) + u;
+    ``tangible_case_ok``, if alpha(A) is tangible, some s with
+    beta(A) = alpha(A) + s; ``surpasses``, alpha(A) ghost-surpasses beta(A)."""
 
-    n: int
-    k: int
-    alpha_value: Scalar
-    beta_value: Scalar
-    u_exists: bool  # some addend u with alpha(A) = beta(A) + u
-    tangible_case_ok: bool  # if alpha(A) tangible: some s with beta(A) = alpha(A) + s
-    surpasses: bool  # alpha(A) ghost-surpasses beta(A)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -206,6 +206,11 @@ class TestMain:
             ["--mode", "detcross", "--allow-singular"],
             ["--mode", "claims", "--allow-singular"],
             ["--mode", "oracle", "--allow-singular"],
+            ["--mode", "detcross", "--engine", "brute"],
+            ["--mode", "detcross", "--engine", "assignment"],
+            ["--mode", "detcross", "--engine", "both"],
+            ["--mode", "bench", "--engine", "assignment"],
+            ["--mode", "oracle", "--engine", "brute"],
         ],
     )
     def test_flag_the_mode_would_ignore_exits_2(self, argv, capsys):

@@ -60,6 +60,10 @@ class TestConfig:
             {"mode": "bench", "allow_singular": True},
             {"mode": "claims", "allow_singular": True},
             {"mode": "oracle", "allow_singular": True},
+            {"mode": "detcross", "engine": "brute"},
+            {"mode": "detcross", "engine": "both"},
+            {"mode": "bench", "engine": "both"},
+            {"mode": "oracle", "engine": "assignment"},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
