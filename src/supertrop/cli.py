@@ -22,8 +22,10 @@ filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
 in ``detcross`` or ``bench`` (no per-k checks), ``--allow-singular``
 outside ``conjecture`` and ``--engine`` other than ``auto`` outside
 ``conjecture`` and ``claims`` (``detcross`` and ``bench`` run every engine,
-``oracle`` none) exit 2 as well, and so does a run whose stdout is closed
-before it ends (``| head``), without a traceback.
+``oracle`` none) exit 2 as well, and so do a ``--seed`` outside
+``0..2**64-1``, a tangible probability of 0 where the mode needs
+non-singular draws, and a run whose stdout is closed before it ends
+(``| head``), without a traceback.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict per-k checks to these k values")
     parser.add_argument("--trials", type=parse_int, default=None,
                         help="total trial count (default 100; bench: repeats per engine, default 3)")
-    parser.add_argument("--seed", type=parse_int, default=42, help="64-bit master seed (default 42)")
+    parser.add_argument("--seed", type=parse_int, default=42,
+                        help="master seed, a 64-bit word in 0..2**64-1 (default 42)")
     parser.add_argument("--bound", type=parse_int, default=20,
                         help="entry values are drawn from [-bound, bound] (default 20)")
     parser.add_argument("--probs", default=None, metavar="T,G,E",

@@ -32,6 +32,7 @@ from .matrices import (
     BRUTE_CAP,
     ENGINES,
     Matrix,
+    _trusted,
     conjecture_check,
     det,
     det_brute,
@@ -40,8 +41,8 @@ from .matrices import (
     parse_matrix,
 )
 from .polynomials import SYMBOLIC_CAP, _claims_reports, claim1_check, claim2_check
-from .rng import Xorshift64Star, derive_trial_seed
-from .scalars import EPS, Scalar, ghost, tangible
+from .rng import MASK64, Xorshift64Star, derive_trial_seed
+from .scalars import EPS, Scalar
 
 __all__ = [
     "MODES",
@@ -50,7 +51,6 @@ __all__ = [
     "REJECTION_LIMIT",
     "DEFAULT_PROBS",
     "TrialConfig",
-    "random_scalar",
     "random_matrix",
     "generate_matrix",
     "random_rational_matrix",
@@ -71,7 +71,8 @@ ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "
 
 class TrialConfig:
     """One run's settings, checked by :meth:`validate`; the CLI fills one in
-    from its flags."""
+    from its flags.  It also keeps the entries its runs have drawn, one
+    shared :class:`Scalar` per value and tag."""
 
     def __init__(
         self,
@@ -98,6 +99,7 @@ class TrialConfig:
         self.allow_singular = allow_singular
         self.out_format = out_format
         self.input_text = input_text
+        self._entries = {}
 
     def validate(self):
         if self.mode not in MODES:
@@ -106,6 +108,8 @@ class TrialConfig:
             raise ValueError(f"orders must be positive, got {self.n_values}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError(f"seed must lie in 0..{MASK64}, got {self.seed}")
         if self.bound < 1:
             raise ValueError(f"bound must be at least 1, got {self.bound}")
         # One 64-bit draw picks among at most 2**64 values or entry kinds.
@@ -115,6 +119,14 @@ class TrialConfig:
             raise ValueError("probabilities need a common denominator of at most 2**64")
         if len(self.probs) != 3 or any(p < 0 for p in self.probs) or sum(self.probs) != 1:
             raise ValueError(f"probabilities must be three non-negative values summing to 1, got {self.probs}")
+        if self.probs[0] == 0 and self.input_text is None and (
+            self.mode == "claims" or (self.mode == "conjecture" and not self.allow_singular)
+        ):
+            # Without tangible entries every determinant is a ghost or eps.
+            raise ValueError(
+                f"degenerate distribution {tuple(map(str, self.probs))}: a tangible probability "
+                f"of 0 cannot produce the non-singular matrices {self.mode} mode needs"
+            )
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.engine != "auto" and self.mode in ("detcross", "bench", "oracle"):
@@ -175,20 +187,41 @@ def _prob_cuts(probs):
     return denom, t_cut, g_cut
 
 
-def random_scalar(rng: Xorshift64Star, bound: int, cuts) -> Scalar:
+def _draw(rng, n, bound, cuts, entries):
+    """An n-by-n matrix drawn row by row.  Each entry takes one draw below
+    the common denominator of the probabilities, which picks tangible, ghost
+    or eps, and a non-eps entry then takes its value from ``[-bound, bound]``.
+
+    ``entries`` interns the non-eps entries under ``2 * value + tag``: it
+    holds at most ``2 * (2 * bound + 1)`` scalars, and never more than the
+    entries drawn into it.
+    """
     denom, t_cut, g_cut = cuts
-    u = rng.next_below(denom)
-    if u >= g_cut:
-        return EPS
-    value = rng.next_int(-bound, bound)
-    return tangible(value) if u < t_cut else ghost(value)
+    next_below = rng.next_below
+    next_int = rng.next_int
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            u = next_below(denom)
+            if u >= g_cut:
+                row.append(EPS)
+                continue
+            value = next_int(-bound, bound)
+            tag = 1 if u < t_cut else 0
+            key = 2 * value + tag
+            s = entries.get(key)
+            if s is None:
+                s = entries[key] = Scalar(value, tag)
+            row.append(s)
+        rows.append(tuple(row))
+    return _trusted(tuple(rows))
 
 
 def random_matrix(rng: Xorshift64Star, n: int, bound: int, probs=DEFAULT_PROBS) -> Matrix:
-    cuts = _prob_cuts(probs)
-    return Matrix(
-        [[random_scalar(rng, bound, cuts) for _ in range(n)] for _ in range(n)]
-    )
+    """An n-by-n matrix with entries drawn from ``probs`` (tangible, ghost,
+    eps) and values in ``[-bound, bound]``."""
+    return _draw(rng, n, bound, _prob_cuts(probs), {})
 
 
 def generate_matrix(rng: Xorshift64Star, n: int, cfg: TrialConfig, require_nonsingular: bool):
@@ -196,13 +229,13 @@ def generate_matrix(rng: Xorshift64Star, n: int, cfg: TrialConfig, require_nonsi
 
     In the non-singular modes singular draws are discarded and counted; after
     :data:`REJECTION_LIMIT` consecutive singular draws the config is deemed
-    degenerate (for example an all-ghost distribution) and the run aborts.
+    degenerate and the run aborts.  :meth:`TrialConfig.validate` refuses a
+    tangible probability of 0 before any draw; this limit catches one small
+    enough that non-singular draws are out of reach.
     """
     cuts = _prob_cuts(cfg.probs)
     for rejections in range(REJECTION_LIMIT):
-        A = Matrix(
-            [[random_scalar(rng, cfg.bound, cuts) for _ in range(n)] for _ in range(n)]
-        )
+        A = _draw(rng, n, cfg.bound, cuts, cfg._entries)
         if not require_nonsingular or is_nonsingular(A, cfg.engine):
             return A, rejections
     raise RejectionLimit(
@@ -343,7 +376,7 @@ def _bench_rows(cfg):
         for engine, fn in (
             ("brute", lambda: det_brute(A, cap=n)),
             ("assignment", lambda: det_assignment(A)),
-            ("kernel", lambda: det(A)),
+            ("kernel", lambda: det(_trusted(A.rows))),  # a fresh matrix: no kept prefix DP
         ):
             start = time.perf_counter()
             for _ in range(repeats):

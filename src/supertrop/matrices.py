@@ -66,9 +66,14 @@ ENGINES = ("auto", "brute", "assignment", "both")
 
 
 class Matrix:
-    """An immutable n-by-n grid of scalars, n >= 1."""
+    """An immutable n-by-n grid of scalars, n >= 1.
 
-    __slots__ = ("n", "rows")
+    The kernel's prefix DP of the matrix is kept in a private slot once a
+    determinant or adjoint has needed it; equality, hashing and ``repr``
+    read the rows alone.
+    """
+
+    __slots__ = ("n", "rows", "_prefix")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -83,6 +88,7 @@ class Matrix:
                     raise TypeError(f"matrix entries must be Scalar, got {type(entry).__name__}")
         self.n = n
         self.rows = rows
+        self._prefix = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -103,6 +109,21 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(s.token for s in row) for row in self.rows)
         return f"Matrix({self.n}: {body})"
+
+
+def _trusted(rows):
+    """A :class:`Matrix` on ``rows``, a non-empty square grid of
+    :class:`Scalar`, without re-checking them (callers keep the invariants).
+
+    A matrix that is returned, compared or hashed needs a tuple of tuples;
+    a minor that only feeds a determinant engine may be a list of lists,
+    which builds faster and leaves no tuples on the interpreter's free lists.
+    """
+    A = Matrix.__new__(Matrix)
+    A.n = len(rows)
+    A.rows = rows
+    A._prefix = None
+    return A
 
 
 class CharPoly(collections.namedtuple("CharPoly", "n coeffs")):
@@ -343,17 +364,26 @@ def _prefix_dp(raw):
     return f
 
 
-def _cofactor_dp(raw):
-    """Determinant and every cofactor from one prefix and one suffix row DP.
+def _prefix_table(A):
+    """The prefix DP of the matrix ``A``, computed once and kept on ``A``."""
+    P = A._prefix
+    if P is None:
+        P = A._prefix = _prefix_dp(_raw(A.rows))
+    return P
+
+
+def _cofactor_dp(A):
+    """Raw determinant and every raw cofactor of ``A`` from its prefix DP and
+    one suffix row DP.
 
     ``cof[i][j]`` deletes row ``i`` and column ``j``: rows above ``i`` take a
     column set ``S`` and rows below take the rest of the columns but ``j``.
     O(n 2^n).
     """
-    n = len(raw)
+    n = A.n
     full = (1 << n) - 1
-    P = _prefix_dp(raw)
-    Q = _prefix_dp(raw[::-1])  # Q[T]: the last |T| rows onto the columns T
+    P = _prefix_table(A)
+    Q = _prefix_dp(_raw(A.rows[::-1]))  # Q[T]: the last |T| rows onto the columns T
     cof = [[None] * n for _ in range(n)]
     for S in range(full):
         p = P[S]
@@ -444,13 +474,15 @@ def _principal_sums(raw):
     return sums
 
 
-def _det_dp_cells(cells):
-    return _scalar(_prefix_dp(_raw(cells))[-1])
+def _det_dp_cells(A):
+    """The kernel determinant of the matrix ``A``: the last prefix DP entry."""
+    return _scalar(_prefix_table(A)[-1])
 
 
-def _det_cells(cells, engine, cap):
+def _det_of(A, engine, cap):
     if engine == "auto":
-        return _det_dp_cells(cells)
+        return _det_dp_cells(A)
+    cells = A.rows
     if engine == "assignment":
         return _det_assignment_cells(cells)
     if engine not in ENGINES:
@@ -459,7 +491,7 @@ def _det_cells(cells, engine, cap):
         raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
     b = _det_brute_cells(cells)
     if engine == "both":
-        d = _det_dp_cells(cells)
+        d = _det_dp_cells(A)
         a = _det_assignment_cells(cells)
         if not d == b == a:
             raise InternalError(
@@ -482,7 +514,7 @@ def _agree(what, kernel, per_minor):
 
 def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
     """Reference determinant: semiring sum over all permutation products."""
-    return _det_cells(A.rows, "brute", cap)
+    return _det_of(A, "brute", cap)
 
 
 def det_assignment(A: Matrix) -> Scalar:
@@ -505,7 +537,7 @@ def det(A: Matrix, engine: str = "auto", cap: int = BRUTE_CAP) -> Scalar:
     :class:`InternalError` if they ever disagree.  ``cap`` bounds the
     brute-force engine.
     """
-    return _det_cells(A.rows, engine, cap)
+    return _det_of(A, engine, cap)
 
 
 def det_power(d: Scalar, m: int) -> Scalar:
@@ -534,12 +566,12 @@ def cofactor(A: Matrix, i: int, j: int, engine: str = "auto") -> Scalar:
         raise IndexError(f"cofactor indices out of range for order {n}: ({i}, {j})")
     if n == 1:
         return tangible(0)
-    cells = [
-        [A.rows[r][c] for c in range(n) if c != j - 1]
-        for r in range(n)
+    minor = _trusted([
+        [s for c, s in enumerate(row) if c != j - 1]
+        for r, row in enumerate(A.rows)
         if r != i - 1
-    ]
-    return _det_cells(cells, engine, BRUTE_CAP)
+    ])
+    return _det_of(minor, engine, BRUTE_CAP)
 
 
 def _adjoint_by_minors(A, engine):
@@ -549,18 +581,23 @@ def _adjoint_by_minors(A, engine):
     )
 
 
+def _kernel_adjoint(A, engine, d, cof):
+    """``adj A`` from the raw cofactor grid ``cof`` of a kernel pass; under
+    ``both`` it and the determinant ``d`` are checked minor by minor."""
+    adj = _trusted(tuple(tuple(map(_scalar, col)) for col in zip(*cof)))
+    if engine == "both":
+        _agree("determinants", d, det(A, engine))
+        _agree("adjoints", adj, _adjoint_by_minors(A, engine))
+    return adj
+
+
 def _det_and_adjoint(A, engine):
     """``(det A, adj A)``; one kernel pass where the engine batches."""
     if not _batched(engine):
         return det(A, engine), adjoint(A, engine)
-    n = A.n
-    d, cof = _cofactor_dp(_raw(A.rows))
+    d, cof = _cofactor_dp(A)
     d = _scalar(d)
-    adj = Matrix([[_scalar(cof[j][i]) for j in range(n)] for i in range(n)])
-    if engine == "both":
-        _agree("determinants", d, det(A, engine))
-        _agree("adjoints", adj, _adjoint_by_minors(A, engine))
-    return d, adj
+    return d, _kernel_adjoint(A, engine, d, cof)
 
 
 def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
@@ -577,8 +614,8 @@ def _char_poly_by_minors(A, engine):
     for k in range(1, n + 1):
         acc = EPS
         for subset in itertools.combinations(range(n), k):
-            cells = [[rows[a][b] for b in subset] for a in subset]
-            acc = add(acc, _det_cells(cells, engine, BRUTE_CAP))
+            minor = _trusted([[rows[a][b] for b in subset] for a in subset])
+            acc = add(acc, _det_of(minor, engine, BRUTE_CAP))
         coeffs.append(acc)
     return CharPoly(n, tuple(coeffs))
 
@@ -634,11 +671,24 @@ class ConjectureReport(collections.namedtuple("ConjectureReport", "n det singula
 def _surpassing_sides(A, engine):
     """``(det A, sides)`` from one kernel pass where the engine batches:
     ``sides[k]`` is ``(chi_k(adj A), det(A)^(k-1) * chi_{n-k}(A))``, k = 0..n,
-    and ``sides[0]`` is ``None`` unless ``det A`` is tangible."""
+    and ``sides[0]`` is ``None`` unless ``det A`` is tangible.
+
+    The batched engines hand the raw cofactor grid, transposed, straight to
+    the principal-minor pass; only ``both`` builds ``adj A`` as a matrix, to
+    check it and its coefficients minor by minor.
+    """
     n = A.n
-    d, adj = _det_and_adjoint(A, engine)
+    if _batched(engine):
+        d, cof = _cofactor_dp(A)
+        d = _scalar(d)
+        chi_adj = tuple(map(_scalar, _principal_sums(list(zip(*cof)))))
+        if engine == "both":
+            adj = _kernel_adjoint(A, engine, d, cof)
+            _agree("characteristic coefficients", CharPoly(n, chi_adj), _char_poly_by_minors(adj, engine))
+    else:
+        d, adj = _det_and_adjoint(A, engine)
+        chi_adj = char_poly(adj, engine).coeffs
     chi = char_poly(A, engine).coeffs
-    chi_adj = char_poly(adj, engine).coeffs
     sides = [
         (chi_adj[k], mul(det_power(d, k - 1), chi[n - k])) if k or d.is_tangible else None
         for k in range(n + 1)

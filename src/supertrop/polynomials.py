@@ -20,7 +20,7 @@ Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
 hold exactly, ghost tags included.  The per-matrix checks therefore read
 alpha and beta for every k from one kernel pass over ``A`` and evaluate only
-gamma term by term; ``engine="both"`` also evaluates alpha and beta
+gamma, compiled once per (n, k); ``engine="both"`` also evaluates alpha and beta
 symbolically and raises :class:`InternalError` on any disagreement.
 
 Variable indices in the public helpers are 1-based (``v11`` is the top-left
@@ -68,9 +68,13 @@ SYMBOLIC_CAP = 4
 
 
 class Poly:
-    """Sparse polynomial: exponent grid -> coefficient (eps never stored)."""
+    """Sparse polynomial: exponent grid -> coefficient (eps never stored).
 
-    __slots__ = ("n", "terms")
+    :func:`evaluate` keeps a compiled form of the terms in a private slot,
+    so the terms of an evaluated polynomial must not change.
+    """
+
+    __slots__ = ("n", "terms", "_compiled")
 
     def __init__(self, n, terms=None):
         if n < 1:
@@ -90,6 +94,7 @@ class Poly:
                 continue
             clean[exps] = coeff
         self.terms = clean
+        self._compiled = None
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -115,6 +120,7 @@ def _raw(n, terms):
     p = Poly.__new__(Poly)
     p.n = n
     p.terms = terms
+    p._compiled = None
     return p
 
 
@@ -254,28 +260,52 @@ def build_gamma(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
     return _raw(n, {e: c for e, c in beta.terms.items() if c.is_tangible})
 
 
+def _compiled(p):
+    """The terms of ``p`` as ``(coefficient, support, indices)``: ``support``
+    has bit ``i`` set for each flat entry index ``i`` with a non-zero
+    exponent, and ``indices`` lists each such ``i`` as often as its exponent.
+    Built on the first call and kept on ``p``."""
+    compiled = p._compiled
+    if compiled is None:
+        compiled = p._compiled = tuple(
+            (
+                coeff,
+                sum(1 << i for i, e in enumerate(exps) if e),
+                tuple(i for i, e in enumerate(exps) for _ in range(e)),
+            )
+            for exps, coeff in p.terms.items()
+        )
+    return compiled
+
+
 def evaluate(p: Poly, A: Matrix) -> Scalar:
-    """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps."""
+    """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps.
+
+    A term is eps when its support meets an eps entry, and a ghost when it
+    meets a ghost entry or has a ghost coefficient; its value is the
+    coefficient's plus the entry values, each counted by its exponent.
+    """
     if p.n != A.n:
         raise ValueError(f"order mismatch: polynomial {p.n} vs matrix {A.n}")
-    flat = [s for row in A.rows for s in row]
+    values = []
+    eps_mask = ghost_mask = 0
+    bit = 1
+    for row in A.rows:
+        for s in row:
+            if s.tag is None:
+                eps_mask |= bit
+            elif not s.tag:
+                ghost_mask |= bit
+            values.append(s.value)
+            bit <<= 1
+    value_at = values.__getitem__
     best_value = None
     best_tag = None
-    for exps, coeff in p.terms.items():
-        value = coeff.value
-        tag = coeff.tag
-        alive = True
-        for idx, e in enumerate(exps):
-            if not e:
-                continue
-            s = flat[idx]
-            if s.tag is None:
-                alive = False
-                break
-            value = value + s.value * e
-            tag &= s.tag
-        if not alive:
+    for coeff, support, indices in _compiled(p):
+        if support & eps_mask:
             continue
+        value = sum(map(value_at, indices), coeff.value)
+        tag = 0 if support & ghost_mask else coeff.tag
         if best_value is None or value > best_value:
             best_value = value
             best_tag = tag
@@ -400,8 +430,8 @@ def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"
 
     alpha(A) and beta(A) are the two sides of the surpassing check, read for
     every k from the kernel pass that :func:`matrices.conjecture_check` uses;
-    the same pass settles non-singularity.  Only gamma is evaluated term by
-    term.  Under ``engine="both"`` alpha and beta are also evaluated
+    the same pass settles non-singularity.  Only gamma goes through
+    :func:`evaluate`.  Under ``engine="both"`` alpha and beta are also evaluated
     symbolically, and a disagreement raises :class:`InternalError`.
     """
     n = A.n

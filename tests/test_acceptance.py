@@ -34,7 +34,7 @@ from supertrop.classical import (
     oracle_report,
     rat_det,
 )
-from supertrop.harness import DEFAULT_PROBS, TrialConfig, random_matrix, random_scalar, run
+from supertrop.harness import DEFAULT_PROBS, TrialConfig, random_matrix, run
 from supertrop.matrices import adjoint, det
 from supertrop.rng import Xorshift64Star, derive_trial_seed
 
@@ -217,15 +217,15 @@ def test_criterion_5_field_oracle():
 def test_criterion_6_semiring_law_suite():
     rng = Xorshift64Star(606060)
     probs = (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))
-    from supertrop.harness import _prob_cuts
+    def draw():  # one entry: the same draws as the matrix generator's
+        return random_matrix(rng, 1, 5, probs).rows[0][0]
 
-    cuts = _prob_cuts(probs)
     unit = tangible(0)
     law_failures = 0
     for _ in range(10_000):
-        a = random_scalar(rng, 5, cuts)
-        b = random_scalar(rng, 5, cuts)
-        c = random_scalar(rng, 5, cuts)
+        a = draw()
+        b = draw()
+        c = draw()
         checks = [
             add(a, b) == add(b, a),
             mul(a, b) == mul(b, a),

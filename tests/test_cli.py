@@ -83,6 +83,25 @@ class TestMain:
         assert code == 2
         assert "degenerate" in capsys.readouterr().err
 
+    def test_degenerate_distribution_refused_before_any_draw(self, capsys):
+        # No tangible entries means no tangible determinant: at n = 13 the
+        # 10,000 rejected draws would take minutes, so refuse up front.
+        for argv in (["--mode", "conjecture", "--n", "13"], ["--mode", "claims", "--n", "4"]):
+            start = time.perf_counter()
+            assert main([*argv, "--trials", "1", "--probs", "0,1/2,1/2"]) == 2
+            assert time.perf_counter() - start < 5
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("supertrop: config error: degenerate distribution")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "18446744073709551658"])
+    def test_seed_outside_64_bits_exits_2(self, seed, capsys):
+        assert main(["--mode", "conjecture", "--n", "1..3", "--trials", "6", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must lie in 0..18446744073709551615" in captured.err
+        assert main(["--mode", "oracle", "--n", "2", "--trials", "1", "--seed", str(2**64 - 1)]) == 0
+
     def test_input_file(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("2\n3t 0t\n1t 4t\n")

@@ -8,13 +8,16 @@ from supertrop.errors import RejectionLimit
 from supertrop.harness import (
     DEFAULT_PROBS,
     ORDER_CAPS,
+    REJECTION_LIMIT,
     TrialConfig,
+    _prob_cuts,
     generate_matrix,
     random_matrix,
     run,
 )
-from supertrop.matrices import is_nonsingular
-from supertrop.rng import Xorshift64Star
+from supertrop.matrices import Matrix, is_nonsingular
+from supertrop.rng import Xorshift64Star, derive_trial_seed
+from supertrop.scalars import EPS, ghost, tangible
 
 
 def run_capture(cfg):
@@ -25,6 +28,32 @@ def run_capture(cfg):
 
 def records(out_text):
     return [json.loads(line) for line in out_text.splitlines()]
+
+
+def random_scalar(rng, bound, cuts):
+    """Reference entry stream: one fresh scalar per draw, built through the
+    validating constructors."""
+    denom, t_cut, g_cut = cuts
+    u = rng.next_below(denom)
+    if u >= g_cut:
+        return EPS
+    value = rng.next_int(-bound, bound)
+    return tangible(value) if u < t_cut else ghost(value)
+
+
+def reference_matrix(rng, n, bound, probs):
+    cuts = _prob_cuts(probs)
+    return Matrix([[random_scalar(rng, bound, cuts) for _ in range(n)] for _ in range(n)])
+
+
+def reference_generate(rng, n, cfg):
+    """``(matrix, rejections)`` of the non-singular draw, without the
+    generator's intern table or the matrix's memo."""
+    for rejections in range(REJECTION_LIMIT):
+        A = reference_matrix(rng, n, cfg.bound, cfg.probs)
+        if is_nonsingular(Matrix(A.rows)):
+            return A, rejections
+    raise RejectionLimit("reference draw found no non-singular matrix")
 
 
 class TestConfig:
@@ -64,6 +93,10 @@ class TestConfig:
             {"mode": "detcross", "engine": "both"},
             {"mode": "bench", "engine": "both"},
             {"mode": "oracle", "engine": "assignment"},
+            {"mode": "conjecture", "seed": -1},
+            {"mode": "oracle", "seed": 2**64},
+            {"mode": "conjecture", "probs": (Fraction(0), Fraction(1), Fraction(0))},
+            {"mode": "claims", "probs": (Fraction(0), Fraction(1, 2), Fraction(1, 2))},
         ],
     )
     def test_rejects_bad_configs(self, kwargs):
@@ -76,6 +109,17 @@ class TestConfig:
             bound=2**63 - 1,
             probs=(Fraction(1, 2**64), Fraction(0), 1 - Fraction(1, 2**64)),
         ).validate()
+
+    def test_seed_range_and_degenerate_distributions(self):
+        for seed in (0, 2**64 - 1):
+            TrialConfig(mode="conjecture", seed=seed).validate()
+        no_tangibles = (Fraction(0), Fraction(1, 2), Fraction(1, 2))
+        # Only the modes that need non-singular draws refuse them.
+        TrialConfig(mode="conjecture", probs=no_tangibles, allow_singular=True).validate()
+        TrialConfig(mode="detcross", probs=no_tangibles).validate()
+        TrialConfig(mode="claims", probs=no_tangibles, input_text="1\n0t\n").validate()
+        with pytest.raises(ValueError, match="degenerate"):
+            TrialConfig(mode="conjecture", n_values=(13,), probs=no_tangibles).validate()
 
     def test_order_caps_accepted(self):
         TrialConfig(mode="detcross", n_values=(9,)).validate()
@@ -136,6 +180,46 @@ class TestGeneration:
         assert rejections >= 0
         assert is_nonsingular(A)
 
+    @pytest.mark.parametrize("bound", [1, 20, 2**63 - 1])
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            DEFAULT_PROBS,
+            (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+            (Fraction(2**64 - 3, 2**64), Fraction(1, 2**64), Fraction(1, 2**63)),
+        ],
+        ids=["default", "thirds", "denominator-2**64"],
+    )
+    def test_draws_match_the_reference_stream(self, bound, probs):
+        # The generator interns its entries and builds the matrix unchecked;
+        # the matrices, rejection counts and RNG states must be the reference
+        # stream's, with one table shared by every trial of a config.
+        cfg = TrialConfig(mode="conjecture", bound=bound, probs=probs)
+        for index in range(40):
+            seed = derive_trial_seed(1200 + bound % 97, index)
+            n = 1 + index % 4
+            rng, ref = Xorshift64Star(seed), Xorshift64Star(seed)
+            A, rejections = generate_matrix(rng, n, cfg, True)
+            assert (A, rejections) == reference_generate(ref, n, cfg)
+            assert hash(A) == hash(Matrix(A.rows)) and rng.state == ref.state
+            rng, ref = Xorshift64Star(seed), Xorshift64Star(seed)
+            assert random_matrix(rng, n, bound, probs) == reference_matrix(ref, n, bound, probs)
+            assert rng.state == ref.state
+        entries = cfg._entries
+        assert len(entries) <= 2 * (2 * bound + 1)
+        assert all(entries[2 * s.value + s.tag] is s for s in entries.values())
+
+    def test_entries_are_interned(self):
+        cfg = TrialConfig(mode="detcross", bound=1, probs=(Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        drawn = [
+            s
+            for i in range(30)
+            for row in generate_matrix(Xorshift64Star(i), 3, cfg, False)[0].rows
+            for s in row
+        ]
+        # Six distinct entries over 270 draws: each is one shared object.
+        assert len(set(drawn)) == len({id(s) for s in drawn}) == len(cfg._entries) == 6
+
     def test_rejection_limit_on_all_ghost(self):
         # Every permutation product of an all-ghost matrix is ghost, so the
         # determinant is never tangible and the sampler must give up.
@@ -168,6 +252,17 @@ class TestRun:
         assert code == 0
         for r in records(out):
             assert r["brute"] == r["assignment"]
+
+    def test_bench_times_a_fresh_kernel_determinant(self, monkeypatch):
+        # The matrix keeps its prefix DP, so each timed repeat must run the
+        # kernel on a fresh matrix rather than read the kept table.
+        from supertrop import matrices
+
+        calls = []
+        real = matrices._prefix_dp
+        monkeypatch.setattr(matrices, "_prefix_dp", lambda raw: calls.append(len(raw)) or real(raw))
+        code, out, _ = run_capture(TrialConfig(mode="bench", n_values=(2, 3), trials=4))
+        assert code == 0 and calls == [2] * 4 + [3] * 4
 
     def test_detcross_checks_dp_kernel(self, monkeypatch):
         from supertrop import matrices

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -399,3 +400,56 @@ class TestTextFormat:
             Matrix([[tangible(1), tangible(2)]])
         with pytest.raises(TypeError):
             Matrix([[1]])
+
+
+class TestPrefixMemo:
+    """The kernel keeps a matrix's prefix DP on the matrix; results must not
+    depend on whether, or by which call, it was filled."""
+
+    CALLS = {
+        "det": det,
+        "adjoint": adjoint,
+        "char_poly": char_poly,
+        "conjecture_check": lambda M, engine="auto": conjecture_check(M, engine, allow_singular=True),
+    }
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        for M in seeded_matrices(5100, 6, 4):
+            fresh = Matrix(M.rows)
+            det(M)
+            assert M._prefix is not None and fresh._prefix is None
+            assert M == fresh and hash(M) == hash(fresh) and repr(M) == repr(fresh)
+            assert {M: 1}[fresh] == 1
+
+    def test_any_call_order_matches_brute_force(self):
+        # Two matrices are interleaved in every order of the four calls, so a
+        # memo shared between matrices, or filled by one call and misread by
+        # another, shows against the brute-force engine, which has no memo.
+        names = sorted(self.CALLS)
+        pairs = [seeded_matrices(5200 + n, 2, n, bound=2) for n in (2, 3, 4)]
+        for X, Y in pairs:
+            expected = {
+                (M, name): self.CALLS[name](M, engine="brute") for M in (X, Y) for name in names
+            }
+            for order in itertools.permutations(names):
+                x, y = Matrix(X.rows), Matrix(Y.rows)
+                for name in order:
+                    assert self.CALLS[name](x) == expected[X, name], (X, order)
+                    assert self.CALLS[name](y) == expected[Y, name], (Y, order)
+
+    def test_one_prefix_dp_per_accepted_draw(self, monkeypatch):
+        # is_nonsingular's determinant is the prefix half of the cofactor
+        # pass: the check adds only the suffix DP.
+        calls = []
+        real = matrices._prefix_dp
+        monkeypatch.setattr(matrices, "_prefix_dp", lambda raw: calls.append(1) or real(raw))
+        checked = 0
+        for M in seeded_matrices(5300, 5, 5):
+            M = Matrix(M.rows)
+            if is_nonsingular(M):
+                assert len(calls) == 1
+                conjecture_check(M)
+                assert len(calls) == 2
+                checked += 1
+            calls.clear()
+        assert checked

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from supertrop import (
     EPS,
     Matrix,
     OrderTooLarge,
+    Scalar,
     Singular,
     add,
     build_alpha,
@@ -32,6 +34,7 @@ from supertrop.matrices import adjoint, is_nonsingular
 from supertrop.polynomials import (
     Poly,
     _claims_reports,
+    _compiled,
     _exists_addend,
     unit_poly,
     variable,
@@ -46,6 +49,51 @@ A = parse_matrix("2\n3t 0t\n1t 4t\n")
 def seeded_matrices(seed, count, n, bound=4):
     rng = Xorshift64Star(seed)
     return [random_matrix(rng, n, bound) for _ in range(count)]
+
+
+#: Tie-heavy entries: eps, both tags, and values that collide in sums.
+TIE_ALPHABET = (
+    EPS, tangible(0), ghost(0), tangible(1), ghost(1), tangible(Fraction(1, 2)), ghost(Fraction(-1, 2)),
+)
+
+
+def alphabet_matrices(seed, count, n):
+    rng = Xorshift64Star(seed)
+    pick = len(TIE_ALPHABET)
+    return [
+        Matrix([[TIE_ALPHABET[rng.next_below(pick)] for _ in range(n)] for _ in range(n)])
+        for _ in range(count)
+    ]
+
+
+def evaluate_by_terms(p, A):
+    """Reference for ``evaluate``: every term walks all n*n exponents."""
+    flat = [s for row in A.rows for s in row]
+    best_value = None
+    best_tag = None
+    for exps, coeff in p.terms.items():
+        value = coeff.value
+        tag = coeff.tag
+        alive = True
+        for idx, e in enumerate(exps):
+            if not e:
+                continue
+            s = flat[idx]
+            if s.tag is None:
+                alive = False
+                break
+            value = value + s.value * e
+            tag &= s.tag
+        if not alive:
+            continue
+        if best_value is None or value > best_value:
+            best_value = value
+            best_tag = tag
+        elif value == best_value:
+            best_tag = 0
+    if best_value is None:
+        return EPS
+    return Scalar(best_value, best_tag)
 
 
 def exps(n, *pairs):
@@ -214,6 +262,39 @@ class TestEvaluate:
                     assert evaluate(build_alpha(n, k), M) == chi_adj.coeffs[k]
                     expected = mul(det_power(d, k - 1), chi.coeffs[n - k])
                     assert evaluate(build_beta(n, k), M) == expected
+
+
+    def test_compiled_equals_term_by_term(self):
+        for n in range(1, 5):
+            polys = [build_alpha(n, k) for k in range(n + 1)]
+            polys += [build(n, k) for build in (build_beta, build_gamma) for k in range(1, n + 1)]
+            for M in alphabet_matrices(700 + n, 40 if n < 4 else 15, n):
+                for p in polys:
+                    assert evaluate(p, M) == evaluate_by_terms(p, M), (p, M)
+
+    def test_hand_built_coefficients(self):
+        # Ghost and non-zero coefficients, which the builders never make,
+        # on random exponent grids with exponents up to 2.
+        rng = Xorshift64Star(77)
+        coeffs = TIE_ALPHABET[1:] + (tangible(-2), ghost(Fraction(3, 2)))
+        for n in (1, 2, 3):
+            matrices = alphabet_matrices(900 + n, 30, n)
+            for _ in range(40):
+                terms = {
+                    tuple(rng.next_below(3) for _ in range(n * n)): coeffs[rng.next_below(len(coeffs))]
+                    for _ in range(1 + rng.next_below(6))
+                }
+                p = Poly(n, terms)
+                for M in matrices:
+                    assert evaluate(p, M) == evaluate_by_terms(p, M), (terms, M)
+
+    def test_compiled_form_is_per_polynomial(self):
+        M = parse_matrix("2\n1t 2g\ne 0t\n")
+        p = Poly(2, {exps(2, (1, 1, 2)): tangible(0)})
+        q = Poly(2, {exps(2, (1, 2, 1)): tangible(0)})
+        assert (evaluate(p, M), evaluate(q, M)) == (tangible(2), ghost(2))
+        assert _compiled(p) is _compiled(p) and _compiled(p) != _compiled(q)
+        assert p == Poly(2, dict(p.terms)) and hash(p) == hash(Poly(2, dict(p.terms)))
 
 
 class TestClaims:
