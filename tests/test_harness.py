@@ -51,7 +51,7 @@ def reference_generate(rng, n, cfg):
     generator's intern table or the matrix's memo."""
     for rejections in range(REJECTION_LIMIT):
         A = reference_matrix(rng, n, cfg.bound, cfg.probs)
-        if is_nonsingular(Matrix(A.rows)):
+        if is_nonsingular(A):
             return A, rejections
     raise RejectionLimit("reference draw found no non-singular matrix")
 

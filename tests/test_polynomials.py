@@ -268,7 +268,7 @@ class TestEvaluate:
         for n in range(1, 5):
             polys = [build_alpha(n, k) for k in range(n + 1)]
             polys += [build(n, k) for build in (build_beta, build_gamma) for k in range(1, n + 1)]
-            for M in alphabet_matrices(700 + n, 40 if n < 4 else 15, n):
+            for M in alphabet_matrices(700 + n, 40 if n < 4 else 8, n):
                 for p in polys:
                     assert evaluate(p, M) == evaluate_by_terms(p, M), (p, M)
 
