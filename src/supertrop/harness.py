@@ -375,8 +375,9 @@ def _bench_rows(cfg):
         repeats = cfg.trials
         for engine, fn in (
             ("brute", lambda: det_brute(A, cap=n)),
-            ("assignment", lambda: det_assignment(A)),
-            ("kernel", lambda: det(_trusted(A.rows))),  # a fresh matrix: no kept prefix DP
+            # Fresh matrices: no kept assignment solve or prefix DP.
+            ("assignment", lambda: det_assignment(_trusted(A.rows))),
+            ("kernel", lambda: det(_trusted(A.rows))),
         ):
             start = time.perf_counter()
             for _ in range(repeats):

@@ -8,17 +8,23 @@ Three determinant engines with an identical output contract:
   subsets in O(n 2^n); one pass of prefix and suffix row DPs gives the
   determinant and every cofactor, and a cycle-cover DP gives every sum of
   principal minors;
-* ``det_assignment`` solves the max-weight perfect-matching problem on the
-  value grid once, with exact arithmetic, in O(n^3); it reads uniqueness of
-  the optimal permutation off the final potentials (no cycle among the tight
-  edges, an O(n^2) search) and derives the tangible/ghost tag from
-  uniqueness plus the tags along the optimum.
+* the assignment engine solves the max-weight perfect-matching problem on
+  the value grid with exact arithmetic, one shortest augmenting path at a
+  time against dual-feasible potentials.  Three drivers share that step:
+  ``det_assignment`` augments every row from the empty matching (O(n^3));
+  the principal minors walk the subset lattice, each minor one augmentation
+  (O(m^2) at order m) from the minor one index smaller; the cofactors start
+  from the whole matrix's optimum, each at most one augmentation (O(n^2)).
+  Uniqueness of a minor's optimal permutation, and so its tangible/ghost
+  tag, is read off the potentials it ends with (no cycle among the tight
+  edges, an O(m^2) search).
 
 The ``auto`` engine is the kernel at every order, so it costs O(n 2^n)
 time and memory for a determinant and O(3^n) for the characteristic
-coefficients; ``brute`` and ``assignment`` compute each minor separately;
-``both`` runs all three and raises :class:`InternalError` on any
-disagreement.  The engine names are :data:`ENGINES`.
+coefficients; ``brute`` computes each minor separately and ``assignment``
+takes each family of minors from its driver; ``both`` runs all three and
+raises :class:`InternalError` on any disagreement.  The engine names are
+:data:`ENGINES`.
 
 On top of the determinant sit unsigned cofactors, the adjoint (transposed
 cofactor grid), the characteristic coefficients (sums of principal minors),
@@ -68,12 +74,12 @@ ENGINES = ("auto", "brute", "assignment", "both")
 class Matrix:
     """An immutable n-by-n grid of scalars, n >= 1.
 
-    The kernel's prefix DP of the matrix is kept in a private slot once a
-    determinant or adjoint has needed it; equality, hashing and ``repr``
-    read the rows alone.
+    The kernel's prefix DP and the assignment engine's solve of the matrix
+    are kept in private slots once a determinant or adjoint has needed them;
+    equality, hashing and ``repr`` read the rows alone.
     """
 
-    __slots__ = ("n", "rows", "_prefix")
+    __slots__ = ("n", "rows", "_prefix", "_assign")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -89,6 +95,7 @@ class Matrix:
         self.n = n
         self.rows = rows
         self._prefix = None
+        self._assign = None
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -123,6 +130,7 @@ def _trusted(rows):
     A.n = len(rows)
     A.rows = rows
     A._prefix = None
+    A._assign = None
     return A
 
 
@@ -134,7 +142,41 @@ class CharPoly(collections.namedtuple("CharPoly", "n coeffs")):
 
 
 # ---------------------------------------------------------------------------
-# determinant engines
+# raw cells
+#
+# The kernel and the assignment engine work on raw cells: ``(value, tag)``
+# pairs, ``None`` for eps.
+
+_UNIT = (0, 1)
+
+
+def _raw(cells):
+    return [[None if s.tag is None else (s.value, s.tag) for s in row] for row in cells]
+
+
+def _scalar(p):
+    return EPS if p is None else Scalar(p[0], p[1])
+
+
+def _scalar_grid(raw_rows):
+    """A :class:`Matrix` on the raw rows ``raw_rows``."""
+    return _trusted(tuple(tuple(map(_scalar, row)) for row in raw_rows))
+
+
+def _radd(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if a[0] > b[0]:
+        return a
+    if b[0] > a[0]:
+        return b
+    return (a[0], 0)
+
+
+# ---------------------------------------------------------------------------
+# brute force
 
 
 def _det_brute_cells(cells):
@@ -164,92 +206,148 @@ def _det_brute_cells(cells):
     return Scalar(best_value, best_tag)
 
 
-def _best_assignment(weights):
-    """Exact max-weight perfect matching on an n-by-n grid.
+# ---------------------------------------------------------------------------
+# assignment engine
+#
+# One step, :func:`_augment`, and three drivers of it: the determinant
+# (every row from the empty matching), the principal minors (the subset
+# lattice, one augmentation per minor) and the cofactors (from the whole
+# matrix's optimum, at most one augmentation per cofactor).  Costs are exact
+# ints or Fractions throughout.
 
-    ``weights[i][j]`` is an int/Fraction, or ``None`` for a forbidden edge.
-    Returns ``(sigma, total, tight)`` with ``sigma[i]`` the column matched to
-    row ``i`` and ``tight[i]`` the columns ``j`` whose edge ``(i, j)`` has
-    reduced cost 0 against the final potentials, or ``None`` when no perfect
-    matching avoids the forbidden edges.  The potentials are dual feasible
-    (no reduced cost is negative) and every matched edge is tight, so a
-    perfect matching has the optimal total iff all its edges are tight.
-    Forbidden edges are priced with an exact big-M penalty, so feasibility
-    is read off the solution rather than special-cased; nothing here keeps
-    one from ending tight, so callers skip them.
+
+def _assignment_grid(cells):
+    """Raw cells and the exact min-cost grid of the assignment engine.
+
+    A non-eps entry of value ``w`` costs ``hi - w >= 0``, with ``hi`` the
+    largest value on the grid; an eps entry costs ``forbidden``.  A perfect
+    matching of any minor of order m <= n that avoids eps entries costs at
+    most ``m * (hi - lo) < forbidden``, and one through an eps entry costs at
+    least ``forbidden``, so a minor's optimum takes an eps entry iff all of
+    its perfect matchings do.  The same grid therefore serves every minor.
     """
-    n = len(weights)
-    finite = [w for row in weights for w in row if w is not None]
-    if not finite:
-        return None
-    w_max = max(finite)
-    w_min = min(finite)
-    forbidden_cost = (w_max - w_min + 1) * (n + 1)
-    cost = [
-        [forbidden_cost if w is None else w_max - w for w in row]
-        for row in weights
-    ]
-    # Exact infinity.  Costs lie in [0, forbidden_cost].  A phase moves each
-    # potential by at most its shortest-path length, which the direct edge
-    # from the new row (u = 0) to a never-used free column (v = 0) bounds by
-    # forbidden_cost; u only grows and v only shrinks, so no reduced cost
-    # c - u - v ever exceeds (n + 1) * forbidden_cost.
-    inf = (n + 2) * forbidden_cost
+    raw = _raw(cells)
+    values = [e[0] for row in raw for e in row if e is not None]
+    hi = max(values, default=0)
+    lo = min(values, default=0)
+    forbidden = (hi - lo + 1) * (len(raw) + 1)
+    cost = [[forbidden if e is None else hi - e[0] for e in row] for row in raw]
+    return raw, cost
 
-    # Shortest-augmenting-path assignment with potentials, 1-based arrays.
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = 0
-            row_cost = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row_cost[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
 
-    sigma = [0] * n
-    for j in range(1, n + 1):
-        sigma[match[j] - 1] = j - 1
-    total = 0
+def _augment(cost, u, v, row_of, col_of, cols, start):
+    """One shortest augmenting path from the free row ``start``, in place.
+
+    ``u`` and ``v`` are row and column potentials, dual feasible on the
+    minor's edges (no reduced cost ``cost[i][j] - u[i] - v[j]`` is negative)
+    with every matched edge tight; ``row_of[j]`` is the row matched to column
+    ``j`` (-1 when free) and ``col_of[i]`` the column of row ``i``.  ``cols``
+    lists the minor's columns, at least one of them free; its rows are
+    ``start`` and the rows matched to those columns.
+
+    Dijkstra over the reduced costs finds the nearest free column at some
+    distance D; each scanned column and the row matched to it, at distance
+    d, then move by D - d, and ``start`` by D.  That keeps every reduced cost
+    non-negative, makes the whole path tight, and the matching flips along
+    it.  The distances start from ``start``'s own reduced costs, so no
+    "infinity" is needed.  O(m^2) on m columns.
+    """
+    row = cost[start]
+    base = u[start]
+    dist = {j: row[j] - base - v[j] for j in cols}
+    way = dict.fromkeys(cols, start)
+    todo = list(cols)
+    scanned = []
+    while True:
+        j1 = min(todo, key=dist.__getitem__)
+        i1 = row_of[j1]
+        if i1 < 0:
+            break
+        todo.remove(j1)
+        scanned.append(j1)
+        row = cost[i1]
+        base = u[i1] - dist[j1]
+        for j in todo:
+            d = row[j] - base - v[j]
+            if d < dist[j]:
+                dist[j] = d
+                way[j] = i1
+    top = dist[j1]
+    u[start] += top
+    for j in scanned:
+        lift = top - dist[j]
+        u[row_of[j]] += lift
+        v[j] -= lift
+    while True:
+        i = way[j1]
+        row_of[j1] = i
+        col_of[i], j1 = j1, col_of[i]
+        if i == start:
+            return
+
+
+def _best_assignment(cost):
+    """The determinant driver: an optimal perfect matching of the whole grid
+    ``cost``, one augmentation per row from the empty matching and zero
+    potentials (dual feasible, as no cost is negative).  O(n^3).
+
+    Returns the state ``(u, v, row_of, col_of)``: optimal potentials and a
+    matching that is optimal against them, as :func:`_augment` keeps them.
+    """
+    n = len(cost)
+    state = ([0] * n, [0] * n, [-1] * n, [-1] * n)
+    cols = range(n)
     for i in range(n):
-        w = weights[i][sigma[i]]
-        if w is None:
-            return None  # optimum needs a forbidden edge: infeasible
-        total = total + w
-    tight = [
-        [j for j in range(n) if cost[i][j] - u[i + 1] - v[j + 1] == 0]
-        for i in range(n)
-    ]
-    return sigma, total, tight
+        _augment(cost, *state, cols, i)
+    return state
+
+
+def _principal_states(cost):
+    """The principal-minor driver: ``(S, state)`` for every non-empty index
+    tuple ``S``, ascending, with ``state`` optimal for the minor on ``S``.
+
+    The subset lattice is walked depth first.  ``S + (t,)`` with ``t > max S``
+    copies the state of ``S``, sets ``v[t]`` and then ``u[t]`` to the largest
+    values that keep every reduced cost into column ``t`` and out of row
+    ``t`` non-negative, and augments once from row ``t`` to the one free
+    column, ``t``.  One O(m^2) augmentation per minor of order m.
+    """
+    n = len(cost)
+    stack = [((), [0] * n, [0] * n, [-1] * n, [-1] * n)]
+    while stack:
+        S, u, v, row_of, col_of = stack.pop()
+        for t in range(S[-1] + 1 if S else 0, n):
+            T = S + (t,)
+            cu, cv, crow, ccol = u[:], v[:], row_of[:], col_of[:]
+            cv[t] = min([cost[i][t] - cu[i] for i in S], default=0)
+            row = cost[t]
+            cu[t] = min([row[j] - cv[j] for j in T])
+            _augment(cost, cu, cv, crow, ccol, T, t)
+            yield T, (cu, cv, crow, ccol)
+            if t + 1 < n:
+                stack.append((T, cu, cv, crow, ccol))
+
+
+def _cofactor_state(cost, state, i, j):
+    """The cofactor driver: from ``state``, optimal for the whole grid, the
+    ``(state, rows, cols)`` of the minor without row ``i`` and column ``j``,
+    with a state optimal for that minor.
+
+    Deleting a row and a column keeps the potentials feasible.  If row ``i``
+    is matched to column ``j`` the rest of the matching is already optimal;
+    otherwise the row matched to ``j`` loses its column, the column of row
+    ``i`` comes free, and one O(n^2) augmentation from that row rematches.
+    """
+    n = len(cost)
+    rows = [r for r in range(n) if r != i]
+    cols = [c for c in range(n) if c != j]
+    u, v, row_of, col_of = state
+    if col_of[i] == j:
+        return state, rows, cols
+    u, v, row_of, col_of = u[:], v[:], row_of[:], col_of[:]
+    row_of[col_of[i]] = -1
+    _augment(cost, u, v, row_of, col_of, cols, row_of[j])
+    return (u, v, row_of, col_of), rows, cols
 
 
 def _has_cycle(succ):
@@ -277,64 +375,85 @@ def _has_cycle(succ):
     return False
 
 
-def _det_assignment_cells(cells):
-    n = len(cells)
-    weights = [[None if s.tag is None else s.value for s in row] for row in cells]
-    solved = _best_assignment(weights)
-    if solved is None:
-        return EPS
-    sigma, best, tight = solved
-    # A rival optimum is all tight edges, so it differs from sigma by cycles
-    # of the digraph on rows with an arc i -> (the row matched to j) for each
-    # tight non-eps edge (i, j) off sigma; sigma is unique iff it has none
-    # (Butkovic 1995).  Eps edges are priced, not absent, so they may be
-    # tight, but no permutation through one has a finite value.
-    row_of = [0] * n
-    for i, j in enumerate(sigma):
-        row_of[j] = i
-    succ = [
-        [row_of[j] for j in tight[i] if j != sigma[i] and weights[i][j] is not None]
-        for i in range(n)
-    ]
-    if _has_cycle(succ):
-        return Scalar(best, 0)
+def _minor_value(raw, cost, state, rows, cols):
+    """The raw determinant of the minor on ``rows`` x ``cols`` from a
+    ``state`` optimal for it: ``None`` (eps) when the optimum takes an eps
+    entry, else its value, with the tags along it unless a second
+    permutation ties it.
+
+    Every optimal permutation of the minor is tight under any optimal dual
+    of it (complementary slackness), so a rival differs from the matching by
+    cycles of the digraph on rows with an arc ``i -> row_of[j]`` for each
+    tight edge ``(i, j)`` off the matching; the optimum is unique iff there
+    is none (Butkovic 1995).  Eps edges are priced, not absent, so one may be
+    tight, but none lies on such a cycle: swapping along it would give a
+    permutation of the same cost through an eps entry, which costs more than
+    any finite optimum (see :func:`_assignment_grid`).  The search is skipped
+    when a ghost entry on the optimum settles the tag.  O(m^2).
+    """
+    u, v, row_of, col_of = state
+    value = 0
     tag = 1
-    for i in range(n):
-        tag &= cells[i][sigma[i]].tag
-    return Scalar(best, tag)
+    for i in rows:
+        e = raw[i][col_of[i]]
+        if e is None:
+            return None
+        value = value + e[0]
+        tag &= e[1]
+    if tag:
+        succ = [()] * len(raw)
+        for i in rows:
+            row = cost[i]
+            base = u[i]
+            mine = col_of[i]
+            succ[i] = [row_of[j] for j in cols if j != mine and row[j] - base == v[j]]
+        if any(succ) and _has_cycle(succ):
+            tag = 0
+    return value, tag
+
+
+def _assignment_table(A):
+    """``(raw, cost, state, det)``: the assignment engine's solve of the whole
+    matrix ``A``, computed once and kept on ``A`` for its cofactors."""
+    T = A._assign
+    if T is None:
+        raw, cost = _assignment_grid(A.rows)
+        state = _best_assignment(cost)
+        full = range(A.n)
+        T = A._assign = (raw, cost, state, _minor_value(raw, cost, state, full, full))
+    return T
+
+
+def _det_assignment_cells(A):
+    """The assignment determinant of the matrix ``A``, from its kept solve."""
+    return _scalar(_assignment_table(A)[3])
+
+
+def _assignment_sums(raw, cost):
+    """``sums[k]``: the sum of all principal k-by-k minors, one augmentation
+    per minor from :func:`_principal_states`."""
+    sums = [None] * (len(raw) + 1)
+    sums[0] = _UNIT
+    for S, state in _principal_states(cost):
+        k = len(S)
+        sums[k] = _radd(sums[k], _minor_value(raw, cost, state, S, S))
+    return sums
+
+
+def _assignment_cofactor(A, i, j):
+    """The raw cofactor of ``A`` without row ``i`` and column ``j``
+    (0-based): at most one augmentation from the solve kept on ``A``."""
+    raw, cost, state, _ = _assignment_table(A)
+    return _minor_value(raw, cost, *_cofactor_state(cost, state, i, j))
 
 
 # ---------------------------------------------------------------------------
 # subset-DP kernel
 #
-# The kernel works on raw cells: ``(value, tag)`` pairs, ``None`` for eps.
 # The semiring is commutative and distributive, so regrouping a permutation
 # sum over subsets gives exactly the brute-force result, ghost tags included,
 # provided every permutation is counted once (addition is not idempotent:
 # a tangible plus itself is a ghost).
-
-_UNIT = (0, 1)
-
-
-def _raw(cells):
-    return [[None if s.tag is None else (s.value, s.tag) for s in row] for row in cells]
-
-
-def _scalar(p):
-    return EPS if p is None else Scalar(p[0], p[1])
-
-
-def _radd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] > b[0]:
-        return a
-    if b[0] > a[0]:
-        return b
-    return (a[0], 0)
-
 
 def _prefix_dp(raw):
     """``f[S]``: the sum over the assignments of rows ``0..|S|-1`` onto the
@@ -479,12 +598,16 @@ def _det_dp_cells(A):
     return _scalar(_prefix_table(A)[-1])
 
 
+# ---------------------------------------------------------------------------
+# determinant engines
+
+
 def _det_of(A, engine, cap):
     if engine == "auto":
         return _det_dp_cells(A)
-    cells = A.rows
     if engine == "assignment":
-        return _det_assignment_cells(cells)
+        return _det_assignment_cells(A)
+    cells = A.rows
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if len(cells) > cap:
@@ -492,7 +615,7 @@ def _det_of(A, engine, cap):
     b = _det_brute_cells(cells)
     if engine == "both":
         d = _det_dp_cells(A)
-        a = _det_assignment_cells(cells)
+        a = _det_assignment_cells(A)
         if not d == b == a:
             raise InternalError(
                 f"determinant engines disagree: dp={d.token} brute={b.token} assignment={a.token}"
@@ -507,9 +630,11 @@ def _batched(engine):
     return engine in ("auto", "both")
 
 
-def _agree(what, kernel, per_minor):
-    if kernel != per_minor:
-        raise InternalError(f"{what} disagree: kernel {kernel!r}, per-minor {per_minor!r}")
+def _agree(what, kernel, brute, assignment):
+    if not kernel == brute == assignment:
+        raise InternalError(
+            f"{what} disagree: kernel {kernel!r}, brute {brute!r}, assignment {assignment!r}"
+        )
 
 
 def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
@@ -520,12 +645,14 @@ def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
 def det_assignment(A: Matrix) -> Scalar:
     """Assignment-problem determinant; same output contract as :func:`det_brute`.
 
-    One exact assignment solve gives the optimal value and permutation; the
-    determinant is a ghost when a second permutation attains that value (a
-    cycle of tight edges against the final potentials), else it carries the
-    tags along the optimum.  O(n^3) for the solve, O(n^2) for the rest.
+    One exact assignment solve, an augmenting path per row from the empty
+    matching, gives the optimal value and permutation; the determinant is a
+    ghost when a second permutation attains that value (a cycle of tight
+    edges against the final potentials), else it carries the tags along the
+    optimum.  O(n^3) for the solve, O(n^2) for the rest.  The solve is kept
+    on ``A``: the assignment engine's cofactors start from it.
     """
-    return _det_assignment_cells(A.rows)
+    return _det_assignment_cells(A)
 
 
 def det(A: Matrix, engine: str = "auto", cap: int = BRUTE_CAP) -> Scalar:
@@ -566,6 +693,8 @@ def cofactor(A: Matrix, i: int, j: int, engine: str = "auto") -> Scalar:
         raise IndexError(f"cofactor indices out of range for order {n}: ({i}, {j})")
     if n == 1:
         return tangible(0)
+    if engine == "assignment":
+        return _scalar(_assignment_cofactor(A, i - 1, j - 1))
     minor = _trusted([
         [s for c, s in enumerate(row) if c != j - 1]
         for r, row in enumerate(A.rows)
@@ -574,27 +703,29 @@ def cofactor(A: Matrix, i: int, j: int, engine: str = "auto") -> Scalar:
     return _det_of(minor, engine, BRUTE_CAP)
 
 
-def _adjoint_by_minors(A, engine):
+def _adjoint_by_minors(A):
     n = A.n
     return Matrix(
-        [[cofactor(A, j + 1, i + 1, engine) for j in range(n)] for i in range(n)]
+        [[cofactor(A, j + 1, i + 1, "brute") for j in range(n)] for i in range(n)]
     )
 
 
 def _kernel_adjoint(A, engine, d, cof):
     """``adj A`` from the raw cofactor grid ``cof`` of a kernel pass; under
-    ``both`` it and the determinant ``d`` are checked minor by minor."""
-    adj = _trusted(tuple(tuple(map(_scalar, col)) for col in zip(*cof)))
+    ``both`` it and the determinant ``d`` are checked against brute force,
+    minor by minor, and against the assignment engine's drivers."""
+    adj = _scalar_grid(zip(*cof))
     if engine == "both":
-        _agree("determinants", d, det(A, engine))
-        _agree("adjoints", adj, _adjoint_by_minors(A, engine))
+        _agree("determinants", d, _det_of(A, "brute", BRUTE_CAP), _det_assignment_cells(A))
+        _agree("adjoints", adj, _adjoint_by_minors(A), adjoint(A, "assignment"))
     return adj
 
 
 def _det_and_adjoint(A, engine):
-    """``(det A, adj A)``; one kernel pass where the engine batches."""
+    """``(det A, adj A)``; one kernel pass where the engine batches, and the
+    assignment engine's cofactors start from the solve its determinant kept."""
     if not _batched(engine):
-        return det(A, engine), adjoint(A, engine)
+        return _det_of(A, engine, BRUTE_CAP), adjoint(A, engine)
     d, cof = _cofactor_dp(A)
     d = _scalar(d)
     return d, _kernel_adjoint(A, engine, d, cof)
@@ -604,10 +735,13 @@ def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
     """The matrix whose (i, j) entry is the (j, i) cofactor of ``A``."""
     if _batched(engine):
         return _det_and_adjoint(A, engine)[1]
-    return _adjoint_by_minors(A, engine)
+    if engine == "assignment":
+        n = A.n
+        return _scalar_grid([[_assignment_cofactor(A, j, i) for j in range(n)] for i in range(n)])
+    return _adjoint_by_minors(A)
 
 
-def _char_poly_by_minors(A, engine):
+def _char_poly_by_minors(A):
     n = A.n
     rows = A.rows
     coeffs = [tangible(0)]
@@ -615,7 +749,7 @@ def _char_poly_by_minors(A, engine):
         acc = EPS
         for subset in itertools.combinations(range(n), k):
             minor = _trusted([[rows[a][b] for b in subset] for a in subset])
-            acc = add(acc, _det_of(minor, engine, BRUTE_CAP))
+            acc = add(acc, _det_of(minor, "brute", BRUTE_CAP))
         coeffs.append(acc)
     return CharPoly(n, tuple(coeffs))
 
@@ -624,13 +758,16 @@ def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
     """All characteristic coefficients of ``A``: sums of principal minors.
 
     Where the engine batches, one cycle-cover pass gives every coefficient;
-    otherwise each minor is a separate determinant.
+    the assignment engine walks the subset lattice with one augmentation per
+    minor; brute force takes each minor as a separate determinant.
     """
+    if engine == "assignment":
+        return CharPoly(A.n, tuple(map(_scalar, _assignment_sums(*_assignment_grid(A.rows)))))
     if not _batched(engine):
-        return _char_poly_by_minors(A, engine)
-    cp = CharPoly(A.n, tuple(_scalar(c) for c in _principal_sums(_raw(A.rows))))
+        return _char_poly_by_minors(A)
+    cp = CharPoly(A.n, tuple(map(_scalar, _principal_sums(_raw(A.rows)))))
     if engine == "both":
-        _agree("characteristic coefficients", cp, _char_poly_by_minors(A, engine))
+        _agree("characteristic coefficients", cp, _char_poly_by_minors(A), char_poly(A, "assignment"))
     return cp
 
 
@@ -675,7 +812,9 @@ def _surpassing_sides(A, engine):
 
     The batched engines hand the raw cofactor grid, transposed, straight to
     the principal-minor pass; only ``both`` builds ``adj A`` as a matrix, to
-    check it and its coefficients minor by minor.
+    check it and its coefficients against brute force minor by minor and
+    against the assignment engine's drivers.  The assignment engine reads
+    ``det A`` off the solve kept on ``A`` and starts its cofactors from it.
     """
     n = A.n
     if _batched(engine):
@@ -684,7 +823,12 @@ def _surpassing_sides(A, engine):
         chi_adj = tuple(map(_scalar, _principal_sums(list(zip(*cof)))))
         if engine == "both":
             adj = _kernel_adjoint(A, engine, d, cof)
-            _agree("characteristic coefficients", CharPoly(n, chi_adj), _char_poly_by_minors(adj, engine))
+            _agree(
+                "characteristic coefficients",
+                CharPoly(n, chi_adj),
+                _char_poly_by_minors(adj),
+                char_poly(adj, "assignment"),
+            )
     else:
         d, adj = _det_and_adjoint(A, engine)
         chi_adj = char_poly(adj, engine).coeffs

@@ -264,6 +264,16 @@ class TestRun:
         code, out, _ = run_capture(TrialConfig(mode="bench", n_values=(2, 3), trials=4))
         assert code == 0 and calls == [2] * 4 + [3] * 4
 
+    def test_bench_times_a_fresh_assignment_solve(self, monkeypatch):
+        # Likewise the matrix keeps its assignment solve.
+        from supertrop import matrices
+
+        calls = []
+        real = matrices._best_assignment
+        monkeypatch.setattr(matrices, "_best_assignment", lambda cost: calls.append(len(cost)) or real(cost))
+        code, out, _ = run_capture(TrialConfig(mode="bench", n_values=(2, 3), trials=4))
+        assert code == 0 and calls == [2] * 4 + [3] * 4
+
     def test_detcross_checks_dp_kernel(self, monkeypatch):
         from supertrop import matrices
         from supertrop.scalars import tangible

@@ -43,11 +43,50 @@ def seeded_matrices(seed, count, n, bound=6, probs=DEFAULT_PROBS):
 
 def assert_engines_agree(M):
     """The kernel's det, batched adjoint and char_poly equal the per-minor
-    brute-force results exactly, and the assignment engine's det does too."""
+    brute-force results exactly, and the assignment engine's drivers do too."""
     d = det_brute(M)
     assert det(M) == d == det_assignment(M), M
-    assert adjoint(M) == adjoint(M, engine="brute"), M
-    assert char_poly(M) == char_poly(M, engine="brute"), M
+    assert adjoint(M) == adjoint(M, engine="brute") == adjoint(M, engine="assignment"), M
+    assert char_poly(M) == char_poly(M, engine="brute") == char_poly(M, engine="assignment"), M
+
+
+def assert_optimal_and_tight(raw, cost, state, rows, cols):
+    """Against every permutation of the minor on ``rows`` x ``cols``: the
+    potentials of ``state`` are dual feasible, its matching is optimal, every
+    optimal permutation is tight, and ``_minor_value`` reads the minor's
+    determinant (eps, or the best value, a ghost unless one permutation
+    attains it with tangible entries only)."""
+    u, v, row_of, col_of = state
+    rows, cols = list(rows), list(cols)
+    assert sorted(col_of[i] for i in rows) == cols
+    assert all(row_of[col_of[i]] == i for i in rows)
+    assert all(cost[i][j] - u[i] - v[j] >= 0 for i in rows for j in cols)
+    totals = {}
+    for perm in itertools.permutations(cols):
+        cells = [raw[i][j] for i, j in zip(rows, perm)]
+        if None not in cells:
+            totals[perm] = (sum(c[0] for c in cells), min((c[1] for c in cells), default=1))
+    value = matrices._minor_value(raw, cost, state, rows, cols)
+    if not totals:
+        assert value is None
+        return
+    best = max(total for total, _ in totals.values())
+    optima = [perm for perm, (total, _) in totals.items() if total == best]
+    assert tuple(col_of[i] for i in rows) in optima
+    for perm in optima:
+        assert all(cost[i][j] - u[i] - v[j] == 0 for i, j in zip(rows, perm)), perm
+    assert value == (best, totals[optima[0]][1] if len(optima) == 1 else 0)
+
+
+def count_augmentations(monkeypatch):
+    """A list that gains the number of columns of every augmentation."""
+    sizes = []
+    real = matrices._augment
+    monkeypatch.setattr(
+        matrices, "_augment", lambda cost, u, v, row_of, col_of, cols, start:
+        sizes.append(len(cols)) or real(cost, u, v, row_of, col_of, cols, start)
+    )
+    return sizes
 
 
 class TestDeterminants:
@@ -79,20 +118,20 @@ class TestDeterminants:
         assert det(M) == tangible(0)  # auto is not bound by the brute-force cap
 
     def test_auto_is_the_kernel_above_order_9(self, monkeypatch):
-        # ``auto`` runs no assignment solve at any order, and its det,
-        # adjoint and char_poly equal the assignment engine's minor by minor.
-        sizes = []
-        real = matrices._det_assignment_cells
-        monkeypatch.setattr(
-            matrices, "_det_assignment_cells", lambda cells: sizes.append(len(cells)) or real(cells)
-        )
+        # ``auto`` runs no augmentation at any order, and its det, adjoint
+        # and char_poly equal the assignment engine's minor by minor.
+        sizes = count_augmentations(monkeypatch)
         for n in (10, 11):
             for M in seeded_matrices(4000 + n, 2, n, bound=3):
                 auto = (det(M), adjoint(M), char_poly(M))
                 assert sizes == [], M
                 engine = "assignment"
                 assert auto == (det(M, engine), adjoint(M, engine), char_poly(M, engine)), M
-                assert sizes
+                # One path per row for the determinant, one per cofactor off
+                # the optimum and one per non-empty principal minor.
+                expected = [n] * n + [n - 1] * (n * n - n)
+                expected += [len(S) for k in range(1, n + 1) for S in itertools.combinations(range(n), k)]
+                assert sorted(sizes) == sorted(expected), M
                 sizes.clear()
 
     def test_engine_equivalence_seeded(self):
@@ -181,38 +220,181 @@ class TestAssignmentCertificate:
         assert det_assignment(self.EPS_RIVAL) == tangible(0)
 
     def test_every_optimum_is_tight(self):
-        import itertools
-
         for n in range(1, 6):
             for M in seeded_matrices(6000 + n, 30, n, bound=1):
-                weights = [[None if s.tag is None else s.value for s in row] for row in M.rows]
-                solved = matrices._best_assignment(weights)
-                totals = {}
-                for perm in itertools.permutations(range(n)):
-                    if all(weights[i][perm[i]] is not None for i in range(n)):
-                        totals[perm] = sum(weights[i][perm[i]] for i in range(n))
-                if not totals:
-                    assert solved is None, M
-                    continue
-                sigma, best, tight = solved
-                assert best == max(totals.values()) == totals[tuple(sigma)], M
-                for perm, total in totals.items():
-                    if total == best:
-                        assert all(perm[i] in tight[i] for i in range(n)), (M, perm)
+                raw, cost = matrices._assignment_grid(M.rows)
+                state = matrices._best_assignment(cost)
+                assert_optimal_and_tight(raw, cost, state, range(n), range(n))
 
     def test_one_solve_per_determinant(self, monkeypatch):
+        # One solve is one augmenting path per row; it is kept on the
+        # matrix, so a second determinant runs none.
         calls = []
         real = matrices._best_assignment
-        monkeypatch.setattr(matrices, "_best_assignment", lambda w: calls.append(1) or real(w))
+        monkeypatch.setattr(matrices, "_best_assignment", lambda cost: calls.append(1) or real(cost))
+        sizes = count_augmentations(monkeypatch)
         sparse = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
         outcomes = set()
         for n in range(1, 7):
             for M in seeded_matrices(7000 + n, 20, n, 1, sparse):
                 d = det_assignment(M)
-                assert len(calls) == 1, M
+                assert len(calls) == 1 and sizes == [n] * n, M
+                assert det_assignment(M) == d and det(M, "assignment") == d, M
+                assert len(calls) == 1 and sizes == [n] * n, M
                 calls.clear()
+                sizes.clear()
                 outcomes.add("eps" if d.tag is None else d.is_tangible)
         assert outcomes == {"eps", True, False}
+
+
+def embed_principal(F, at, filler):
+    """An order ``len(at) + 1`` matrix with ``F`` on the indices ``at`` and
+    ``filler`` on every entry of the one index left out."""
+    n = F.n + 1
+    where = {x: r for r, x in enumerate(at)}
+    return Matrix([
+        [F.rows[where[i]][where[j]] if i in where and j in where else filler for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def embed_cofactor(F, matched):
+    """An order ``F.n + 1`` matrix whose last row and column delete to ``F``.
+
+    With ``matched`` the whole optimum pairs the last row with the last
+    column; otherwise it takes the two 9t entries, pairing the last row with
+    column 0 and row 0 with the last column, so the cofactor needs an
+    augmentation.
+    """
+    m = F.n
+    far, near = tangible(9), tangible(-9)
+    rows = [list(row) + [near if matched or r else far] for r, row in enumerate(F.rows)]
+    rows.append([near if matched or c else far for c in range(m)] + [far if matched else near])
+    return Matrix(rows)
+
+
+class TestWarmStartedDrivers:
+    """The assignment engine's principal-minor and cofactor drivers: one
+    augmentation per minor from a neighbouring optimum, checked against
+    brute force and against every optimal permutation of every minor."""
+
+    FIVE_CYCLE = TestAssignmentCertificate.FIVE_CYCLE
+    EPS_RIVAL = TestAssignmentCertificate.EPS_RIVAL
+    GHOSTLY = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+    SPARSE = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
+
+    def test_tie_heavy_against_brute_force(self):
+        kinds = {"cofactor": set(), "coefficient": set()}
+        for b, bound in enumerate((1, 2)):
+            for p, probs in enumerate((self.GHOSTLY, self.SPARSE)):
+                for n in range(1, 8):
+                    seed = 8000 + 100 * b + 10 * p + n
+                    for M in seeded_matrices(seed, 30 if n <= 5 else 8 if n == 6 else 3, n, bound, probs):
+                        adj = adjoint(M, engine="brute")
+                        chi = char_poly(M, engine="brute")
+                        assert adjoint(M, engine="assignment") == adj, M
+                        assert char_poly(M, engine="assignment") == chi, M
+                        for kind, values in (("cofactor", sum(adj.rows, ())), ("coefficient", chi.coeffs)):
+                            kinds[kind].update("eps" if s.tag is None else s.is_tangible for s in values)
+        assert kinds == {"cofactor": {"eps", True, False}, "coefficient": {"eps", True, False}}
+
+    @pytest.mark.parametrize("name, expected", [("FIVE_CYCLE", ghost(0)), ("EPS_RIVAL", tangible(0))])
+    def test_rival_as_a_principal_minor(self, name, expected):
+        F = getattr(self, name)
+        at = (0,) + tuple(range(2, F.n + 1))
+        for filler in (EPS, tangible(0), ghost(1)):
+            M = embed_principal(F, at, filler)
+            raw, cost = matrices._assignment_grid(M.rows)
+            minors = dict(matrices._principal_states(cost))
+            assert matrices._minor_value(raw, cost, minors[at], at, at) == (expected.value, expected.tag)
+            assert char_poly(M, engine="assignment") == char_poly(M, engine="brute"), M
+
+    @pytest.mark.parametrize("name, expected", [("FIVE_CYCLE", ghost(0)), ("EPS_RIVAL", tangible(0))])
+    @pytest.mark.parametrize("matched", [False, True], ids=["augmented", "matched"])
+    def test_rival_as_a_cofactor(self, name, expected, matched, monkeypatch):
+        F = getattr(self, name)
+        M = embed_cofactor(F, matched)
+        n = M.n
+        det_assignment(M)
+        sizes = count_augmentations(monkeypatch)
+        assert cofactor(M, n, n, engine="assignment") == expected == cofactor(M, n, n, engine="brute")
+        assert sizes == ([] if matched else [n - 1])
+        assert adjoint(M, engine="assignment") == adjoint(M, engine="brute"), M
+
+    def test_every_minor_optimum_is_tight(self):
+        # The states the drivers end with, not fresh solves: each must be
+        # optimal for its minor and make every optimal permutation tight.
+        for n in range(1, 6):
+            for probs in (DEFAULT_PROBS, self.GHOSTLY, self.SPARSE):
+                for M in seeded_matrices(8500 + n, 12, n, 1, probs):
+                    raw, cost, state, _ = matrices._assignment_table(M)
+                    for S, minor in matrices._principal_states(cost):
+                        assert_optimal_and_tight(raw, cost, minor, S, S)
+                    for i in range(n):
+                        for j in range(n):
+                            assert_optimal_and_tight(raw, cost, *matrices._cofactor_state(cost, state, i, j))
+
+    def test_augmentation_counts(self, monkeypatch):
+        sizes = count_augmentations(monkeypatch)
+        for n in range(1, 8):
+            for M in seeded_matrices(8600 + n, 4, n, 1, self.SPARSE):
+                char_poly(M, engine="assignment")
+                # Exactly one per non-empty principal subset, of its order.
+                assert sorted(sizes) == sorted(
+                    k for k in range(1, n + 1) for _ in itertools.combinations(range(n), k)
+                ), M
+                sizes.clear()
+                det_assignment(M)
+                sizes.clear()
+                col_of = matrices._assignment_table(M)[2][3]
+                for i in range(n):
+                    for j in range(n):
+                        cofactor(M, i + 1, j + 1, engine="assignment")
+                        # At most one per cofactor: none when the optimum
+                        # already pairs the deleted row and column.
+                        assert sizes == ([] if col_of[i] == j else [n - 1]), (M, i, j)
+                        sizes.clear()
+                adjoint(M, engine="assignment")
+                assert len(sizes) == n * n - n <= n * n, M
+                sizes.clear()
+
+    def test_one_solve_per_accepted_draw(self, monkeypatch):
+        # is_nonsingular's solve is kept on the matrix, and the check's
+        # cofactors start from it: no second determinant solve.
+        calls = []
+        real = matrices._best_assignment
+        monkeypatch.setattr(matrices, "_best_assignment", lambda cost: calls.append(1) or real(cost))
+        checked = 0
+        for M in seeded_matrices(8700, 8, 5):
+            M = Matrix(M.rows)
+            if is_nonsingular(M, "assignment"):
+                conjecture_check(M, "assignment")
+                pseudoinverse(M, "assignment")
+                assert len(calls) == 1
+                checked += 1
+            calls.clear()
+        assert checked
+
+    def test_equality_and_hash_ignore_the_kept_solve(self):
+        for M in seeded_matrices(8800, 6, 4):
+            fresh = Matrix(M.rows)
+            det(M, "assignment")
+            assert M._assign is not None and fresh._assign is None
+            assert M == fresh and hash(M) == hash(fresh) and repr(M) == repr(fresh)
+            assert {M: 1}[fresh] == 1
+
+    def test_both_checks_the_assignment_drivers(self, monkeypatch):
+        M = seeded_matrices(8900, 1, 4)[0]
+        real_sums = matrices._assignment_sums
+        monkeypatch.setattr(matrices, "_assignment_sums", lambda raw, cost: real_sums(raw, cost)[:-1] + [None])
+        with pytest.raises(InternalError, match="characteristic coefficients disagree"):
+            char_poly(M, engine="both")
+        with pytest.raises(InternalError, match="characteristic coefficients disagree"):
+            conjecture_check(M, engine="both", allow_singular=True)
+        monkeypatch.undo()
+        monkeypatch.setattr(matrices, "_assignment_cofactor", lambda A, i, j: (99, 1))
+        with pytest.raises(InternalError, match="adjoints disagree"):
+            adjoint(M, engine="both")
 
 
 class TestInvariances:
