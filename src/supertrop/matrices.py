@@ -19,12 +19,16 @@ Three determinant engines with an identical output contract:
   tag, is read off the potentials it ends with (no cycle among the tight
   edges, an O(m^2) search).
 
-The ``auto`` engine is the kernel at every order, so it costs O(n 2^n)
-time and memory for a determinant and O(3^n) for the characteristic
-coefficients; ``brute`` computes each minor separately and ``assignment``
-takes each family of minors from its driver; ``both`` runs all three and
-raises :class:`InternalError` on any disagreement.  The engine names are
-:data:`ENGINES`.
+One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
+three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
+matrix, the determinant with the whole cofactor grid, and the principal-minor
+sums of a grid.  ``auto`` is the kernel at every order, so it costs
+O(n 2^n) time and memory for a determinant and O(3^n) for the
+characteristic coefficients; ``brute`` folds each minor on its own;
+``assignment`` takes each family of minors from its driver.  ``both`` is
+built from the other three: it runs each of them and raises
+:class:`InternalError` on any disagreement.  The public functions look the
+engine up and convert to and from raw cells; none branches on its name.
 
 On top of the determinant sit unsigned cofactors, the adjoint (transposed
 cofactor grid), the characteristic coefficients (sums of principal minors),
@@ -40,7 +44,7 @@ import collections
 import itertools
 
 from .errors import InternalError, OrderTooLarge, Singular
-from .scalars import EPS, Scalar, add, mul, ghost_surpasses, parse_grid, parse_scalar, tangible
+from .scalars import EPS, Scalar, mul, ghost_surpasses, parse_grid, parse_scalar, tangible
 from .scalars import pow as scalar_pow
 
 __all__ = [
@@ -66,9 +70,6 @@ __all__ = [
 
 #: Default order cap for the brute-force engine (``brute`` and ``both``).
 BRUTE_CAP = 8
-
-#: The determinant engines, by name.
-ENGINES = ("auto", "brute", "assignment", "both")
 
 
 class Matrix:
@@ -123,8 +124,7 @@ def _trusted(rows):
     :class:`Scalar`, without re-checking them (callers keep the invariants).
 
     A matrix that is returned, compared or hashed needs a tuple of tuples;
-    a minor that only feeds a determinant engine may be a list of lists,
-    which builds faster and leaves no tuples on the interpreter's free lists.
+    a minor that only feeds a determinant engine may be a list of rows.
     """
     A = Matrix.__new__(Matrix)
     A.n = len(rows)
@@ -144,8 +144,7 @@ class CharPoly(collections.namedtuple("CharPoly", "n coeffs")):
 # ---------------------------------------------------------------------------
 # raw cells
 #
-# The kernel and the assignment engine work on raw cells: ``(value, tag)``
-# pairs, ``None`` for eps.
+# Every engine works on raw cells: ``(value, tag)`` pairs, ``None`` for eps.
 
 _UNIT = (0, 1)
 
@@ -175,35 +174,63 @@ def _radd(a, b):
     return (a[0], 0)
 
 
+def _minor(rows, i, j):
+    """``rows`` without row ``i`` and column ``j`` (0-based), as a list."""
+    return [row[:j] + row[j + 1:] for r, row in enumerate(rows) if r != i]
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
 
-def _det_brute_cells(cells):
-    n = len(cells)
-    best_value = None
-    best_tag = None
+def _brute_det(raw, cap=BRUTE_CAP):
+    """The raw determinant of the raw grid ``raw``: the semiring sum of all
+    n! permutation products.  Refuses an order above ``cap``.
+
+    The fold runs on the values alone; the tags matter only for a unique
+    best permutation, which is tangible iff all of its entries are.
+    """
+    n = len(raw)
+    if n > cap:
+        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {n}")
+    values = [[None if e is None else e[0] for e in row] for row in raw]
+    best = None
     for perm in itertools.permutations(range(n)):
         value = 0
-        tag = 1
-        alive = True
-        for i in range(n):
-            s = cells[i][perm[i]]
-            if s.tag is None:
-                alive = False
+        for row, j in zip(values, perm):
+            v = row[j]
+            if v is None:
                 break
-            value = value + s.value
-            tag &= s.tag
-        if not alive:
-            continue
-        if best_value is None or value > best_value:
-            best_value = value
-            best_tag = tag
-        elif value == best_value:
-            best_tag = 0
-    if best_value is None:
-        return EPS
-    return Scalar(best_value, best_tag)
+            value += v
+        else:
+            if best is None or value > best:
+                best = value
+                best_perm = perm
+                tied = False
+            elif value == best:
+                tied = True
+    if best is None:
+        return None
+    return best, 0 if tied else min([row[j][1] for row, j in zip(raw, best_perm)], default=1)
+
+
+def _brute_cofactors(A):
+    """The raw determinant and raw cofactor grid of ``A``, each minor folded
+    on its own."""
+    raw = _raw(A.rows)
+    n = A.n
+    return _brute_det(raw), [[_brute_det(_minor(raw, i, j)) for j in range(n)] for i in range(n)]
+
+
+def _brute_sums(raw):
+    """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
+    ``raw``, each minor folded on its own."""
+    n = len(raw)
+    sums = [_UNIT] + [None] * n
+    for k in range(1, n + 1):
+        for S in itertools.combinations(range(n), k):
+            sums[k] = _radd(sums[k], _brute_det([[raw[a][b] for b in S] for a in S]))
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +243,8 @@ def _det_brute_cells(cells):
 # ints or Fractions throughout.
 
 
-def _assignment_grid(cells):
-    """Raw cells and the exact min-cost grid of the assignment engine.
+def _assignment_grid(raw):
+    """The exact min-cost grid of the assignment engine on the raw grid ``raw``.
 
     A non-eps entry of value ``w`` costs ``hi - w >= 0``, with ``hi`` the
     largest value on the grid; an eps entry costs ``forbidden``.  A perfect
@@ -226,13 +253,11 @@ def _assignment_grid(cells):
     least ``forbidden``, so a minor's optimum takes an eps entry iff all of
     its perfect matchings do.  The same grid therefore serves every minor.
     """
-    raw = _raw(cells)
     values = [e[0] for row in raw for e in row if e is not None]
     hi = max(values, default=0)
     lo = min(values, default=0)
     forbidden = (hi - lo + 1) * (len(raw) + 1)
-    cost = [[forbidden if e is None else hi - e[0] for e in row] for row in raw]
-    return raw, cost
+    return [[forbidden if e is None else hi - e[0] for e in row] for row in raw]
 
 
 def _augment(cost, u, v, row_of, col_of, cols, start):
@@ -417,34 +442,34 @@ def _assignment_table(A):
     matrix ``A``, computed once and kept on ``A`` for its cofactors."""
     T = A._assign
     if T is None:
-        raw, cost = _assignment_grid(A.rows)
+        raw = _raw(A.rows)
+        cost = _assignment_grid(raw)
         state = _best_assignment(cost)
         full = range(A.n)
         T = A._assign = (raw, cost, state, _minor_value(raw, cost, state, full, full))
     return T
 
 
-def _det_assignment_cells(A):
-    """The assignment determinant of the matrix ``A``, from its kept solve."""
-    return _scalar(_assignment_table(A)[3])
+def _assignment_cofactors(A):
+    """The raw determinant and raw cofactor grid of ``A``: every cofactor at
+    most one augmentation from the solve kept on ``A``."""
+    raw, cost, state, d = _assignment_table(A)
+    n = A.n
+    return d, [
+        [_minor_value(raw, cost, *_cofactor_state(cost, state, i, j)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
-def _assignment_sums(raw, cost):
-    """``sums[k]``: the sum of all principal k-by-k minors, one augmentation
-    per minor from :func:`_principal_states`."""
-    sums = [None] * (len(raw) + 1)
-    sums[0] = _UNIT
+def _assignment_sums(raw):
+    """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
+    ``raw``, one augmentation per minor from :func:`_principal_states`."""
+    cost = _assignment_grid(raw)
+    sums = [_UNIT] + [None] * len(raw)
     for S, state in _principal_states(cost):
         k = len(S)
         sums[k] = _radd(sums[k], _minor_value(raw, cost, state, S, S))
     return sums
-
-
-def _assignment_cofactor(A, i, j):
-    """The raw cofactor of ``A`` without row ``i`` and column ``j``
-    (0-based): at most one augmentation from the solve kept on ``A``."""
-    raw, cost, state, _ = _assignment_table(A)
-    return _minor_value(raw, cost, *_cofactor_state(cost, state, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -593,53 +618,87 @@ def _principal_sums(raw):
     return sums
 
 
-def _det_dp_cells(A):
-    """The kernel determinant of the matrix ``A``: the last prefix DP entry."""
-    return _scalar(_prefix_table(A)[-1])
+# ---------------------------------------------------------------------------
+# the engine table
+#
+# Each engine is three functions on raw cells, with one contract:
+#
+# * ``det(A)``: the raw determinant of the Matrix ``A``; it may keep its work
+#   on ``A`` (the kernel's prefix DP in ``_prefix``, the assignment solve in
+#   ``_assign``) for a later call on the same matrix;
+# * ``cofactors(A)``: ``(det, cof)``, the raw determinant of ``A`` and its
+#   raw cofactor grid, ``cof[i][j]`` the minor without row ``i`` and column
+#   ``j`` (0-based), as a list of lists;
+# * ``sums(raw)``: ``sums[k]`` for k = 0..n, the sum of all principal k-by-k
+#   minors of the raw grid ``raw`` (rows may be any sequences), as a list.
+#
+# On equal input every engine returns equal raw cells, ghost tags included.
+# Brute force refuses an order above BRUTE_CAP on each determinant it folds.
+# ``both`` runs the other three on the same input and returns the kernel's
+# result when all agree; any disagreement raises InternalError.
+
+_Engine = collections.namedtuple("_Engine", "det cofactors sums")
+
+_ENGINES = {
+    "auto": _Engine(lambda A: _prefix_table(A)[-1], _cofactor_dp, _principal_sums),
+    "brute": _Engine(lambda A: _brute_det(_raw(A.rows)), _brute_cofactors, _brute_sums),
+    "assignment": _Engine(
+        lambda A: _assignment_table(A)[3], _assignment_cofactors, _assignment_sums
+    ),
+}
+
+
+def _show(x):
+    return "[" + " ".join(map(_show, x)) + "]" if isinstance(x, list) else _scalar(x).token
+
+
+def _agreed(what, results):
+    """The kernel's entry of ``results``, one per leg of ``both``, when all
+    three are equal; else :class:`InternalError` naming ``what``."""
+    kernel, brute, assignment = results
+    if not kernel == brute == assignment:
+        raise InternalError(
+            f"{what} disagree: kernel {_show(kernel)}, brute {_show(brute)}, "
+            f"assignment {_show(assignment)}"
+        )
+    return kernel
+
+
+def _legs():
+    """The three engines behind ``both``, read from the table at each call."""
+    return [_ENGINES[name] for name in ("auto", "brute", "assignment")]
+
+
+def _both_cofactors(A):
+    dets, grids = zip(*[leg.cofactors(A) for leg in _legs()])
+    return _agreed("determinant engines", dets), _agreed("adjoints", grids)
+
+
+_ENGINES["both"] = _Engine(
+    lambda A: _agreed("determinant engines", [leg.det(A) for leg in _legs()]),
+    _both_cofactors,
+    lambda raw: _agreed("characteristic coefficients", [leg.sums(raw) for leg in _legs()]),
+)
+
+#: The determinant engines, by name: one entry each in the engine table.
+ENGINES = tuple(_ENGINES)
+
+
+def _engine(name):
+    try:
+        return _ENGINES[name]
+    except KeyError:
+        raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}") from None
 
 
 # ---------------------------------------------------------------------------
-# determinant engines
-
-
-def _det_of(A, engine, cap):
-    if engine == "auto":
-        return _det_dp_cells(A)
-    if engine == "assignment":
-        return _det_assignment_cells(A)
-    cells = A.rows
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if len(cells) > cap:
-        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {len(cells)}")
-    b = _det_brute_cells(cells)
-    if engine == "both":
-        d = _det_dp_cells(A)
-        a = _det_assignment_cells(A)
-        if not d == b == a:
-            raise InternalError(
-                f"determinant engines disagree: dp={d.token} brute={b.token} assignment={a.token}"
-            )
-    return b
-
-
-def _batched(engine):
-    """Whether ``engine`` takes a whole family of minors from one kernel pass."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return engine in ("auto", "both")
-
-
-def _agree(what, kernel, brute, assignment):
-    if not kernel == brute == assignment:
-        raise InternalError(
-            f"{what} disagree: kernel {kernel!r}, brute {brute!r}, assignment {assignment!r}"
-        )
+# determinants
 
 
 def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
-    """Reference determinant: semiring sum over all permutation products."""
-    return _det_of(A, "brute", cap)
+    """Reference determinant: semiring sum over all permutation products,
+    refused above order ``cap``."""
+    return _scalar(_brute_det(_raw(A.rows), cap))
 
 
 def det_assignment(A: Matrix) -> Scalar:
@@ -652,19 +711,18 @@ def det_assignment(A: Matrix) -> Scalar:
     optimum.  O(n^3) for the solve, O(n^2) for the rest.  The solve is kept
     on ``A``: the assignment engine's cofactors start from it.
     """
-    return _det_assignment_cells(A)
+    return _scalar(_assignment_table(A)[3])
 
 
-def det(A: Matrix, engine: str = "auto", cap: int = BRUTE_CAP) -> Scalar:
+def det(A: Matrix, engine: str = "auto") -> Scalar:
     """Determinant with engine selection.
 
     ``auto`` runs the subset-DP kernel, whose O(n 2^n) time and memory
     bound the order in practice (``assignment`` is polynomial); ``both``
     runs the kernel, brute force and the assignment engine and raises
-    :class:`InternalError` if they ever disagree.  ``cap`` bounds the
-    brute-force engine.
+    :class:`InternalError` if they ever disagree.
     """
-    return _det_of(A, engine, cap)
+    return _scalar(_engine(engine).det(A))
 
 
 def det_power(d: Scalar, m: int) -> Scalar:
@@ -676,6 +734,11 @@ def det_power(d: Scalar, m: int) -> Scalar:
     if m == 0:
         return tangible(0)
     return scalar_pow(d, m)
+
+
+def is_nonsingular(A: Matrix, engine: str = "auto") -> bool:
+    """True iff the determinant is tangible (equivalently, invertible)."""
+    return det(A, engine).is_tangible
 
 
 # ---------------------------------------------------------------------------
@@ -691,98 +754,27 @@ def cofactor(A: Matrix, i: int, j: int, engine: str = "auto") -> Scalar:
     n = A.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"cofactor indices out of range for order {n}: ({i}, {j})")
-    if n == 1:
-        return tangible(0)
-    if engine == "assignment":
-        return _scalar(_assignment_cofactor(A, i - 1, j - 1))
-    minor = _trusted([
-        [s for c, s in enumerate(row) if c != j - 1]
-        for r, row in enumerate(A.rows)
-        if r != i - 1
-    ])
-    return _det_of(minor, engine, BRUTE_CAP)
-
-
-def _adjoint_by_minors(A):
-    n = A.n
-    return Matrix(
-        [[cofactor(A, j + 1, i + 1, "brute") for j in range(n)] for i in range(n)]
-    )
-
-
-def _kernel_adjoint(A, engine, d, cof):
-    """``adj A`` from the raw cofactor grid ``cof`` of a kernel pass; under
-    ``both`` it and the determinant ``d`` are checked against brute force,
-    minor by minor, and against the assignment engine's drivers."""
-    adj = _scalar_grid(zip(*cof))
-    if engine == "both":
-        _agree("determinants", d, _det_of(A, "brute", BRUTE_CAP), _det_assignment_cells(A))
-        _agree("adjoints", adj, _adjoint_by_minors(A), adjoint(A, "assignment"))
-    return adj
-
-
-def _det_and_adjoint(A, engine):
-    """``(det A, adj A)``; one kernel pass where the engine batches, and the
-    assignment engine's cofactors start from the solve its determinant kept."""
-    if not _batched(engine):
-        return _det_of(A, engine, BRUTE_CAP), adjoint(A, engine)
-    d, cof = _cofactor_dp(A)
-    d = _scalar(d)
-    return d, _kernel_adjoint(A, engine, d, cof)
+    return _scalar(_engine(engine).det(_trusted(_minor(A.rows, i - 1, j - 1))))
 
 
 def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
     """The matrix whose (i, j) entry is the (j, i) cofactor of ``A``."""
-    if _batched(engine):
-        return _det_and_adjoint(A, engine)[1]
-    if engine == "assignment":
-        n = A.n
-        return _scalar_grid([[_assignment_cofactor(A, j, i) for j in range(n)] for i in range(n)])
-    return _adjoint_by_minors(A)
-
-
-def _char_poly_by_minors(A):
-    n = A.n
-    rows = A.rows
-    coeffs = [tangible(0)]
-    for k in range(1, n + 1):
-        acc = EPS
-        for subset in itertools.combinations(range(n), k):
-            minor = _trusted([[rows[a][b] for b in subset] for a in subset])
-            acc = add(acc, _det_of(minor, "brute", BRUTE_CAP))
-        coeffs.append(acc)
-    return CharPoly(n, tuple(coeffs))
+    return _scalar_grid(zip(*_engine(engine).cofactors(A)[1]))
 
 
 def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
-    """All characteristic coefficients of ``A``: sums of principal minors.
-
-    Where the engine batches, one cycle-cover pass gives every coefficient;
-    the assignment engine walks the subset lattice with one augmentation per
-    minor; brute force takes each minor as a separate determinant.
-    """
-    if engine == "assignment":
-        return CharPoly(A.n, tuple(map(_scalar, _assignment_sums(*_assignment_grid(A.rows)))))
-    if not _batched(engine):
-        return _char_poly_by_minors(A)
-    cp = CharPoly(A.n, tuple(map(_scalar, _principal_sums(_raw(A.rows)))))
-    if engine == "both":
-        _agree("characteristic coefficients", cp, _char_poly_by_minors(A), char_poly(A, "assignment"))
-    return cp
-
-
-def is_nonsingular(A: Matrix, engine: str = "auto") -> bool:
-    """True iff the determinant is tangible (equivalently, invertible)."""
-    return det(A, engine).is_tangible
+    """All characteristic coefficients of ``A``: sums of principal minors."""
+    return CharPoly(A.n, tuple(map(_scalar, _engine(engine).sums(_raw(A.rows)))))
 
 
 def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
     """Adjoint scaled by the inverse determinant; requires a tangible determinant."""
-    d, adj = _det_and_adjoint(A, engine)
+    d, cof = _engine(engine).cofactors(A)
+    d = _scalar(d)
     if not d.is_tangible:
         raise Singular(f"pseudoinverse needs a tangible determinant, got {d.token}")
     inv = scalar_pow(d, -1)
-    return Matrix([[mul(inv, s) for s in row] for row in adj.rows])
+    return Matrix([[mul(inv, _scalar(c)) for c in col] for col in zip(*cof)])
 
 
 # ---------------------------------------------------------------------------
@@ -806,33 +798,19 @@ class ConjectureReport(collections.namedtuple("ConjectureReport", "n det singula
 
 
 def _surpassing_sides(A, engine):
-    """``(det A, sides)`` from one kernel pass where the engine batches:
+    """``(det A, sides)`` from the engine's cofactors and two sums passes:
     ``sides[k]`` is ``(chi_k(adj A), det(A)^(k-1) * chi_{n-k}(A))``, k = 0..n,
     and ``sides[0]`` is ``None`` unless ``det A`` is tangible.
 
-    The batched engines hand the raw cofactor grid, transposed, straight to
-    the principal-minor pass; only ``both`` builds ``adj A`` as a matrix, to
-    check it and its coefficients against brute force minor by minor and
-    against the assignment engine's drivers.  The assignment engine reads
-    ``det A`` off the solve kept on ``A`` and starts its cofactors from it.
+    The raw cofactor grid, transposed, goes straight to the sums function, so
+    ``adj A`` is never built as a matrix of scalars.
     """
     n = A.n
-    if _batched(engine):
-        d, cof = _cofactor_dp(A)
-        d = _scalar(d)
-        chi_adj = tuple(map(_scalar, _principal_sums(list(zip(*cof)))))
-        if engine == "both":
-            adj = _kernel_adjoint(A, engine, d, cof)
-            _agree(
-                "characteristic coefficients",
-                CharPoly(n, chi_adj),
-                _char_poly_by_minors(adj),
-                char_poly(adj, "assignment"),
-            )
-    else:
-        d, adj = _det_and_adjoint(A, engine)
-        chi_adj = char_poly(adj, engine).coeffs
-    chi = char_poly(A, engine).coeffs
+    engine = _engine(engine)
+    d, cof = engine.cofactors(A)
+    d = _scalar(d)
+    chi_adj = tuple(map(_scalar, engine.sums(list(zip(*cof)))))
+    chi = tuple(map(_scalar, engine.sums(_raw(A.rows))))
     sides = [
         (chi_adj[k], mul(det_power(d, k - 1), chi[n - k])) if k or d.is_tangible else None
         for k in range(n + 1)
@@ -849,8 +827,8 @@ def conjecture_check(
     """Per-k check that the k-th characteristic coefficient of the adjoint
     ghost-surpasses ``det^(k-1)`` times the (n-k)-th coefficient of ``A``.
 
-    One kernel pass gives ``det`` and ``adj A``; ``chi(A)`` and ``chi(adj A)``
-    are the only other quantities computed.  The pseudoinverse form
+    The engine's cofactor pass gives ``det`` and ``adj A``; ``chi(A)`` and
+    ``chi(adj A)`` are the only other quantities computed.  The pseudoinverse form
     ``det * chi_k(pinv A) |= chi_{n-k}(A)`` is the same inequality scaled by
     the tangible unit ``det^(1-k)``, so it is checked in the tests, not here.
 

@@ -13,8 +13,9 @@ a given order n and level k:
 * ``gamma``: the restriction of beta to its tangible-coefficient terms.
 
 On top of these sit the mechanical support/evaluation checks used by the
-verification harness.  Orders are capped (default 4): the construction is a
-full symbolic expansion and explodes combinatorially beyond that.
+verification harness.  Orders are capped at ``SYMBOLIC_CAP`` (4): the
+construction is a full symbolic expansion and explodes combinatorially
+beyond that.
 
 Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
@@ -212,23 +213,23 @@ def adjoint_cells(n: int):
     return [[_cofactor_poly(n, j, i) for j in range(n)] for i in range(n)]
 
 
-def _check_caps(n, k, cap, k_floor):
+def _check_caps(n, k, k_floor):
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > cap:
-        raise OrderTooLarge(f"symbolic construction capped at order {cap}, got {n}")
+    if n > SYMBOLIC_CAP:
+        raise OrderTooLarge(f"symbolic construction capped at order {SYMBOLIC_CAP}, got {n}")
     if not (k_floor <= k <= n):
         raise ValueError(f"k must lie in {k_floor}..{n}, got {k}")
 
 
 @lru_cache(maxsize=None)
-def build_alpha(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
+def build_alpha(n: int, k: int) -> Poly:
     """The k-th characteristic coefficient of the adjoint variable matrix.
 
     Results are cached (they are pure in ``n`` and ``k``); treat the returned
     polynomial as read-only.
     """
-    _check_caps(n, k, cap, 0)
+    _check_caps(n, k, 0)
     if k == 0:
         return unit_poly(n)
     adj = adjoint_cells(n)
@@ -239,13 +240,13 @@ def build_alpha(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def build_beta(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
+def build_beta(n: int, k: int) -> Poly:
     """``det^(k-1) * chi_{n-k}`` of the variable matrix, k >= 1.
 
     k = 0 is rejected: it would need the inverse determinant, which is not a
     polynomial.  Built via polynomial products.  Cached; treat as read-only.
     """
-    _check_caps(n, k, cap, 1)
+    _check_caps(n, k, 1)
     det_v = poly_det(_variable_cells(n), n)
     beta = unit_poly(n)
     for _ in range(k - 1):
@@ -254,9 +255,9 @@ def build_beta(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def build_gamma(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Poly:
+def build_gamma(n: int, k: int) -> Poly:
     """The tangible-coefficient part of beta.  Cached; treat as read-only."""
-    beta = build_beta(n, k, cap)
+    beta = build_beta(n, k)
     return _raw(n, {e: c for e, c in beta.terms.items() if c.is_tangible})
 
 
@@ -386,10 +387,10 @@ class DecompositionReport(
         return self.u_exists and self.tangible_case_ok and self.surpasses
 
 
-def claim1_check(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Claim1Report:
-    _check_caps(n, k, cap, 1)
-    alpha = build_alpha(n, k, cap)
-    beta = build_beta(n, k, cap)
+def claim1_check(n: int, k: int) -> Claim1Report:
+    _check_caps(n, k, 1)
+    alpha = build_alpha(n, k)
+    beta = build_beta(n, k)
     tangible_support = {e for e, c in alpha.terms.items() if c.is_tangible}
     tangible_support |= {e for e, c in beta.terms.items() if c.is_tangible}
     violations = tuple(
@@ -404,10 +405,10 @@ def claim1_check(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Claim1Report:
     )
 
 
-def claim2_check(n: int, k: int, cap: int = SYMBOLIC_CAP) -> Claim2Report:
-    _check_caps(n, k, cap, 1)
-    alpha = build_alpha(n, k, cap)
-    gamma = build_gamma(n, k, cap)
+def claim2_check(n: int, k: int) -> Claim2Report:
+    _check_caps(n, k, 1)
+    alpha = build_alpha(n, k)
+    gamma = build_gamma(n, k)
     missing = tuple(sorted(e for e in gamma.terms if e not in alpha.terms))
     return Claim2Report(n=n, k=k, gamma_terms=len(gamma), missing=missing)
 
@@ -425,7 +426,7 @@ def _exists_addend(target: Scalar, base: Scalar) -> bool:
     return target.tag == 0 and target.value == base.value
 
 
-def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"):
+def _claims_reports(A: Matrix, ks, engine: str = "auto"):
     """``(Claim3Report, DecompositionReport)`` of ``A`` for each k in ``ks``.
 
     alpha(A) and beta(A) are the two sides of the surpassing check, read for
@@ -436,7 +437,7 @@ def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"
     """
     n = A.n
     for k in ks:
-        _check_caps(n, k, cap, 1)
+        _check_caps(n, k, 1)
     d, sides = _surpassing_sides(A, engine)
     if not d.is_tangible:
         raise Singular("claim 3 is stated for non-singular matrices")
@@ -446,13 +447,13 @@ def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"
         if engine == "both":
             for name, kernel, build in (("alpha", alpha_value, build_alpha),
                                         ("beta", beta_value, build_beta)):
-                symbolic = evaluate(build(n, k, cap), A)
+                symbolic = evaluate(build(n, k), A)
                 if kernel != symbolic:
                     raise InternalError(
                         f"{name}_{{{n},{k}}}(A) disagrees: kernel {kernel.token}, "
                         f"symbolic {symbolic.token}"
                     )
-        gamma_value = evaluate(build_gamma(n, k, cap), A)
+        gamma_value = evaluate(build_gamma(n, k), A)
         reports.append((
             Claim3Report(n=n, k=k, beta_value=beta_value, gamma_value=gamma_value),
             DecompositionReport(
@@ -470,11 +471,11 @@ def _claims_reports(A: Matrix, ks, cap: int = SYMBOLIC_CAP, engine: str = "auto"
     return reports
 
 
-def claim3_check(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> Claim3Report:
+def claim3_check(A: Matrix, k: int) -> Claim3Report:
     """Exact equality of beta and gamma evaluated at a non-singular matrix."""
-    return _claims_reports(A, (k,), cap)[0][0]
+    return _claims_reports(A, (k,))[0][0]
 
 
-def decomposition_checks(A: Matrix, k: int, cap: int = SYMBOLIC_CAP) -> DecompositionReport:
+def decomposition_checks(A: Matrix, k: int) -> DecompositionReport:
     """The three decompositions of alpha(A) against beta(A), A non-singular."""
-    return _claims_reports(A, (k,), cap)[0][1]
+    return _claims_reports(A, (k,))[0][1]

@@ -189,13 +189,6 @@ class TestMain:
         assert main(["--mode", "oracle", "--input", str(path)]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_engine_disagreement_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(matrices, "_det_assignment_cells", lambda cells: tangible(999))
-        code = main(["--mode", "conjecture", "--n", "2", "--trials", "1", "--engine", "both"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("supertrop: internal error: determinant engines disagree")
-
     @pytest.mark.parametrize("side", ["kernel", "symbolic"])
     def test_claims_symbolic_disagreement_exits_3(self, side, monkeypatch, capsys):
         if side == "kernel":

@@ -15,7 +15,7 @@ from supertrop.harness import (
     random_matrix,
     run,
 )
-from supertrop.matrices import Matrix, is_nonsingular
+from supertrop.matrices import ENGINES, Matrix, is_nonsingular
 from supertrop.rng import Xorshift64Star, derive_trial_seed
 from supertrop.scalars import EPS, ghost, tangible
 
@@ -276,9 +276,9 @@ class TestRun:
 
     def test_detcross_checks_dp_kernel(self, monkeypatch):
         from supertrop import matrices
-        from supertrop.scalars import tangible
 
-        monkeypatch.setattr(matrices, "_det_dp_cells", lambda cells: tangible(999))
+        kernel = matrices._ENGINES["auto"]
+        monkeypatch.setitem(matrices._ENGINES, "auto", kernel._replace(det=lambda A: (999, 1)))
         cfg = TrialConfig(mode="detcross", n_values=(2,), trials=1, seed=7)
         code, out, err = run_capture(cfg)
         assert code == 1
@@ -327,6 +327,22 @@ class TestRun:
         _, out1, _ = run_capture(cfg)
         _, out2, _ = run_capture(cfg)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "mode, n_values, trials",
+        [("conjecture", tuple(range(1, 7)), 120), ("claims", (2, 3, 4), 60)],
+        ids=["conjecture", "claims"],
+    )
+    def test_stdout_is_the_same_on_every_engine(self, mode, n_values, trials):
+        # Bound 1 makes ties, and so ghost tags, common: the engines must
+        # agree on them byte for byte, not only on the verdicts.
+        outs = {}
+        for engine in ENGINES:
+            cfg = TrialConfig(mode=mode, n_values=n_values, trials=trials, bound=1, seed=42, engine=engine)
+            cfg.validate()
+            code, outs[engine], _ = run_capture(cfg)
+            assert code == 0, engine
+        assert all(out == outs["auto"] for out in outs.values())
 
     def test_exit_code_one_on_failure(self, monkeypatch):
         # The theorem never fails, so fake a failing trial to pin the

@@ -157,19 +157,11 @@ class TestDeterminants:
     def test_engine_both_agrees(self):
         assert det(A, engine="both") == tangible(7)
 
-    def test_both_checks_batched_kernel(self, monkeypatch):
-        assert adjoint(A, engine="both") == adjoint(A, engine="brute")
-        assert char_poly(A, engine="both") == char_poly(A, engine="brute")
-        monkeypatch.setattr(matrices, "_principal_sums", lambda raw: [(0, 1)] * (len(raw) + 1))
-        with pytest.raises(InternalError):
-            char_poly(A, engine="both")
-        monkeypatch.setattr(matrices, "_cofactor_dp", lambda raw: ((7, 1), [[(0, 1)] * 2] * 2))
-        with pytest.raises(InternalError):
-            adjoint(A, engine="both")
-
     def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            det(A, engine="fast")
+        for call in (det, is_nonsingular, adjoint, char_poly, pseudoinverse, conjecture_check,
+                     lambda M, engine: cofactor(M, 1, 1, engine)):
+            with pytest.raises(ValueError, match="unknown engine 'fast'"):
+                call(A, engine="fast")
 
     def test_fractional_values(self):
         M = parse_matrix("2\n1/2t 0t\n1t 1/3t\n")
@@ -222,7 +214,8 @@ class TestAssignmentCertificate:
     def test_every_optimum_is_tight(self):
         for n in range(1, 6):
             for M in seeded_matrices(6000 + n, 30, n, bound=1):
-                raw, cost = matrices._assignment_grid(M.rows)
+                raw = matrices._raw(M.rows)
+                cost = matrices._assignment_grid(raw)
                 state = matrices._best_assignment(cost)
                 assert_optimal_and_tight(raw, cost, state, range(n), range(n))
 
@@ -304,7 +297,8 @@ class TestWarmStartedDrivers:
         at = (0,) + tuple(range(2, F.n + 1))
         for filler in (EPS, tangible(0), ghost(1)):
             M = embed_principal(F, at, filler)
-            raw, cost = matrices._assignment_grid(M.rows)
+            raw = matrices._raw(M.rows)
+            cost = matrices._assignment_grid(raw)
             minors = dict(matrices._principal_states(cost))
             assert matrices._minor_value(raw, cost, minors[at], at, at) == (expected.value, expected.tag)
             assert char_poly(M, engine="assignment") == char_poly(M, engine="brute"), M
@@ -315,10 +309,12 @@ class TestWarmStartedDrivers:
         F = getattr(self, name)
         M = embed_cofactor(F, matched)
         n = M.n
-        det_assignment(M)
+        raw, cost, state, _ = matrices._assignment_table(M)
         sizes = count_augmentations(monkeypatch)
-        assert cofactor(M, n, n, engine="assignment") == expected == cofactor(M, n, n, engine="brute")
+        value = matrices._minor_value(raw, cost, *matrices._cofactor_state(cost, state, n - 1, n - 1))
+        assert value == (expected.value, expected.tag)
         assert sizes == ([] if matched else [n - 1])
+        assert cofactor(M, n, n, engine="assignment") == expected == cofactor(M, n, n, engine="brute")
         assert adjoint(M, engine="assignment") == adjoint(M, engine="brute"), M
 
     def test_every_minor_optimum_is_tight(self):
@@ -344,12 +340,12 @@ class TestWarmStartedDrivers:
                     k for k in range(1, n + 1) for _ in itertools.combinations(range(n), k)
                 ), M
                 sizes.clear()
-                det_assignment(M)
+                raw, cost, state, _ = matrices._assignment_table(M)
                 sizes.clear()
-                col_of = matrices._assignment_table(M)[2][3]
+                col_of = state[3]
                 for i in range(n):
                     for j in range(n):
-                        cofactor(M, i + 1, j + 1, engine="assignment")
+                        matrices._minor_value(raw, cost, *matrices._cofactor_state(cost, state, i, j))
                         # At most one per cofactor: none when the optimum
                         # already pairs the deleted row and column.
                         assert sizes == ([] if col_of[i] == j else [n - 1]), (M, i, j)
@@ -383,18 +379,69 @@ class TestWarmStartedDrivers:
             assert M == fresh and hash(M) == hash(fresh) and repr(M) == repr(fresh)
             assert {M: 1}[fresh] == 1
 
-    def test_both_checks_the_assignment_drivers(self, monkeypatch):
-        M = seeded_matrices(8900, 1, 4)[0]
-        real_sums = matrices._assignment_sums
-        monkeypatch.setattr(matrices, "_assignment_sums", lambda raw, cost: real_sums(raw, cost)[:-1] + [None])
-        with pytest.raises(InternalError, match="characteristic coefficients disagree"):
-            char_poly(M, engine="both")
-        with pytest.raises(InternalError, match="characteristic coefficients disagree"):
-            conjecture_check(M, engine="both", allow_singular=True)
-        monkeypatch.undo()
-        monkeypatch.setattr(matrices, "_assignment_cofactor", lambda A, i, j: (99, 1))
-        with pytest.raises(InternalError, match="adjoints disagree"):
-            adjoint(M, engine="both")
+
+def off(p):
+    """A raw cell other than ``p``."""
+    return None if p == (999, 1) else (999, 1)
+
+
+def broken(engine, quantity):
+    """The table entry ``engine`` with one quantity wrong: the determinant
+    (from ``det`` and from ``cofactors``), the first cofactor, or the last
+    characteristic coefficient."""
+    if quantity == "determinant engines":
+        def cofactors(A):
+            d, cof = engine.cofactors(A)
+            return off(d), cof
+
+        return engine._replace(det=lambda A: off(engine.det(A)), cofactors=cofactors)
+    if quantity == "adjoints":
+        def cofactors(A):
+            d, cof = engine.cofactors(A)
+            return d, [[off(cof[0][0])] + cof[0][1:]] + cof[1:]
+
+        return engine._replace(cofactors=cofactors)
+    return engine._replace(sums=lambda raw: engine.sums(raw)[:-1] + [off(engine.sums(raw)[-1])])
+
+
+class TestBothCrossCheck:
+    """``both`` runs the kernel, brute force and the assignment engine, each
+    read from the engine table.  A wrong quantity from any one of them makes
+    every call that computes that quantity raise :class:`InternalError`
+    naming it, and the CLI exit 3; every other call is unaffected."""
+
+    CALLS = {
+        "det": lambda M: det(M, "both"),
+        "adjoint": lambda M: adjoint(M, "both"),
+        "char_poly": lambda M: char_poly(M, "both"),
+        "conjecture_check": lambda M: conjecture_check(M, "both"),
+    }
+    USES = {
+        "determinant engines": {"det", "adjoint", "conjecture_check"},
+        "adjoints": {"adjoint", "conjecture_check"},
+        "characteristic coefficients": {"char_poly", "conjecture_check"},
+    }
+
+    @pytest.mark.parametrize("quantity", sorted(USES), ids=lambda quantity: quantity.split()[0])
+    @pytest.mark.parametrize("leg", ["auto", "brute", "assignment"])
+    def test_a_broken_leg_is_named(self, leg, quantity, monkeypatch, capsys):
+        from supertrop.cli import main
+
+        M = parse_matrix("3\n2t 0t -1t\n1g 3t e\n0t -2t 1t\n")
+        expected = {name: call(M) for name, call in self.CALLS.items()}
+        monkeypatch.setitem(matrices._ENGINES, leg, broken(matrices._ENGINES[leg], quantity))
+        for name, call in self.CALLS.items():
+            fresh = Matrix(M.rows)
+            if name in self.USES[quantity]:
+                with pytest.raises(InternalError, match=f"^{quantity} disagree: kernel "):
+                    call(fresh)
+            else:
+                assert call(fresh) == expected[name], name
+        code = main(["--mode", "conjecture", "--n", "3", "--trials", "1", "--engine", "both"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"supertrop: internal error: {quantity} disagree: kernel ")
 
 
 class TestInvariances:
@@ -552,6 +599,42 @@ class TestConjecture:
                     assert pinv_form == report.cases[k].holds, (M, k)
                 checked += 1
         assert checked > 15 * len(orders)
+
+    @pytest.mark.parametrize("engine", matrices.ENGINES)
+    def test_adjoint_stays_raw_on_every_engine(self, engine, monkeypatch):
+        # The check hands the raw cofactor grid straight to the engine's sums
+        # function, so adj A is never built as a matrix of scalars.
+        cases = [
+            (M, conjecture_check(M, allow_singular=True))
+            for n in range(1, 6)
+            for M in seeded_matrices(950 + n, 4, n, bound=2)
+        ]
+
+        def refuse(raw_rows):
+            raise AssertionError("adj A built as a matrix of scalars")
+
+        monkeypatch.setattr(matrices, "_scalar_grid", refuse)
+        for M, expected in cases:
+            assert conjecture_check(Matrix(M.rows), engine, allow_singular=True) == expected, M
+
+    @pytest.mark.parametrize("engine", matrices.ENGINES)
+    def test_both_sides_read_the_engines_own_sums(self, engine, monkeypatch):
+        # chi(A) and chi(adj A) each come from the engine's sums function
+        # (under both, from every leg's), on A's raw grid and on adj A's.
+        M = parse_matrix("3\n2t 0t -1t\n1g 3t e\n0t -2t 1t\n")
+        grids = [matrices._raw(M.rows), matrices._raw(adjoint(M).rows)]
+        seen = []
+        for name in ("auto", "brute", "assignment"):
+            entry = matrices._ENGINES[name]
+
+            def sums(raw, name=name, real=entry.sums):
+                seen.append((name, [list(row) for row in raw]))
+                return real(raw)
+
+            monkeypatch.setitem(matrices._ENGINES, name, entry._replace(sums=sums))
+        conjecture_check(Matrix(M.rows), engine)
+        legs = ("auto", "brute", "assignment") if engine == "both" else (engine,)
+        assert sorted(seen, key=repr) == sorted([(leg, grid) for leg in legs for grid in grids], key=repr)
 
     def test_k_filter_validation(self):
         with pytest.raises(ValueError):
