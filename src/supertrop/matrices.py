@@ -17,7 +17,10 @@ Three determinant engines with an identical output contract:
   from the whole matrix's optimum, each at most one augmentation (O(n^2)).
   Uniqueness of a minor's optimal permutation, and so its tangible/ghost
   tag, is read off the potentials it ends with (no cycle among the tight
-  edges, an O(m^2) search).
+  edges, an O(m^2) search).  That search runs for the determinant, for
+  each cofactor, and for at most one principal minor per order k: the
+  unique top minor of ``chi_k``, as the tags of the others cannot reach
+  the sum.
 
 One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
 three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
@@ -183,6 +186,11 @@ def _minor(rows, i, j):
 # brute force
 
 
+def _brute_cap(n, cap=BRUTE_CAP):
+    if n > cap:
+        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {n}")
+
+
 def _brute_det(raw, cap=BRUTE_CAP):
     """The raw determinant of the raw grid ``raw``: the semiring sum of all
     n! permutation products.  Refuses an order above ``cap``.
@@ -191,8 +199,7 @@ def _brute_det(raw, cap=BRUTE_CAP):
     best permutation, which is tangible iff all of its entries are.
     """
     n = len(raw)
-    if n > cap:
-        raise OrderTooLarge(f"brute-force determinant capped at order {cap}, got {n}")
+    _brute_cap(n, cap)
     values = [[None if e is None else e[0] for e in row] for row in raw]
     best = None
     for perm in itertools.permutations(range(n)):
@@ -215,11 +222,24 @@ def _brute_det(raw, cap=BRUTE_CAP):
 
 
 def _brute_cofactors(A):
-    """The raw determinant and raw cofactor grid of ``A``, each minor folded
-    on its own."""
+    """The raw determinant and raw cofactor grid of ``A``, each cofactor
+    folded on its own and the determinant expanded along row 0 of them.
+
+    The permutations that send row 0 to column ``j`` sum to ``a[0][j]``
+    times the cofactor ``(0, j)``, by distributivity, so the expansion is
+    the fold of all n! of them, ghost tags included (see the subset-DP
+    kernel's section comment).  Refuses an order above BRUTE_CAP, as the
+    fold itself would.
+    """
     raw = _raw(A.rows)
     n = A.n
-    return _brute_det(raw), [[_brute_det(_minor(raw, i, j)) for j in range(n)] for i in range(n)]
+    _brute_cap(n)
+    cof = [[_brute_det(_minor(raw, i, j)) for j in range(n)] for i in range(n)]
+    d = None
+    for a, c in zip(raw[0], cof[0]):
+        if a is not None and c is not None:
+            d = _radd(d, (a[0] + c[0], a[1] & c[1]))
+    return d, cof
 
 
 def _brute_sums(raw):
@@ -275,12 +295,15 @@ def _augment(cost, u, v, row_of, col_of, cols, start):
     d, then move by D - d, and ``start`` by D.  That keeps every reduced cost
     non-negative, makes the whole path tight, and the matching flips along
     it.  The distances start from ``start``'s own reduced costs, so no
-    "infinity" is needed.  O(m^2) on m columns.
+    "infinity" is needed.  O(m^2) on m columns, plus O(n) for the two
+    column-indexed lists on a grid of order n.
     """
     row = cost[start]
     base = u[start]
-    dist = {j: row[j] - base - v[j] for j in cols}
-    way = dict.fromkeys(cols, start)
+    dist = [0] * len(cost)  # indexed by column; only ``cols`` are read
+    for j in cols:
+        dist[j] = row[j] - base - v[j]
+    way = [start] * len(cost)
     todo = list(cols)
     scanned = []
     while True:
@@ -336,6 +359,9 @@ def _principal_states(cost):
     values that keep every reduced cost into column ``t`` and out of row
     ``t`` non-negative, and augments once from row ``t`` to the one free
     column, ``t``.  One O(m^2) augmentation per minor of order m.
+
+    Each yielded state is a fresh copy that nothing changes afterwards (the
+    minors above it copy it in turn), so a caller may keep any of them.
     """
     n = len(cost)
     stack = [((), [0] * n, [0] * n, [-1] * n, [-1] * n)]
@@ -400,11 +426,27 @@ def _has_cycle(succ):
     return False
 
 
+def _optimum(raw, col_of, rows):
+    """The optimal matching ``col_of`` read on ``rows`` of the raw grid
+    ``raw``: ``None`` when it takes an eps entry, else its value and the AND
+    of the tags along it.  O(m), no search."""
+    value = 0
+    tag = 1
+    for i in rows:
+        e = raw[i][col_of[i]]
+        if e is None:
+            return None
+        value = value + e[0]
+        tag &= e[1]
+    return value, tag
+
+
 def _minor_value(raw, cost, state, rows, cols):
     """The raw determinant of the minor on ``rows`` x ``cols`` from a
     ``state`` optimal for it: ``None`` (eps) when the optimum takes an eps
     entry, else its value, with the tags along it unless a second
-    permutation ties it.
+    permutation ties it.  The assignment engine runs it for the determinant,
+    for each cofactor, and for at most one principal minor per order.
 
     Every optimal permutation of the minor is tight under any optimal dual
     of it (complementary slackness), so a rival differs from the matching by
@@ -417,24 +459,18 @@ def _minor_value(raw, cost, state, rows, cols):
     when a ghost entry on the optimum settles the tag.  O(m^2).
     """
     u, v, row_of, col_of = state
-    value = 0
-    tag = 1
+    best = _optimum(raw, col_of, rows)
+    if best is None or not best[1]:
+        return best
+    succ = [()] * len(raw)
     for i in rows:
-        e = raw[i][col_of[i]]
-        if e is None:
-            return None
-        value = value + e[0]
-        tag &= e[1]
-    if tag:
-        succ = [()] * len(raw)
-        for i in rows:
-            row = cost[i]
-            base = u[i]
-            mine = col_of[i]
-            succ[i] = [row_of[j] for j in cols if j != mine and row[j] - base == v[j]]
-        if any(succ) and _has_cycle(succ):
-            tag = 0
-    return value, tag
+        row = cost[i]
+        base = u[i]
+        mine = col_of[i]
+        succ[i] = [row_of[j] for j in cols if j != mine and row[j] - base == v[j]]
+    if any(succ) and _has_cycle(succ):
+        return best[0], 0
+    return best
 
 
 def _assignment_table(A):
@@ -463,12 +499,38 @@ def _assignment_cofactors(A):
 
 def _assignment_sums(raw):
     """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
-    ``raw``, one augmentation per minor from :func:`_principal_states`."""
+    ``raw``, one augmentation per minor from :func:`_principal_states`.
+
+    Only the top minors of an order decide its sum: two tied at the top give
+    a ghost, a single one passes its own tag on, and every lower minor's tag
+    is lost.  So the walk reads each minor's value and entry tags off its
+    optimum (:func:`_optimum`, no search) and keeps, per order, the best
+    value, whether it is tied, and the winning ``(S, state)``.  The cycle
+    search of :func:`_minor_value` then runs only for an order whose top
+    minor is unique with tangible entries along its optimum: at most one
+    search per order.  Addition is associative and commutative, so this is
+    exactly the :func:`_radd` fold of every minor.
+    """
     cost = _assignment_grid(raw)
-    sums = [_UNIT] + [None] * len(raw)
+    top = [None] * (len(raw) + 1)  # top[k]: [value, tag (0 once tied), S, state] of the best
     for S, state in _principal_states(cost):
+        best = _optimum(raw, state[3], S)
+        if best is None:
+            continue
         k = len(S)
-        sums[k] = _radd(sums[k], _minor_value(raw, cost, state, S, S))
+        t = top[k]
+        if t is None or best[0] > t[0]:
+            top[k] = [best[0], best[1], S, state]
+        elif best[0] == t[0]:
+            t[1] = 0
+    sums = [_UNIT]
+    for t in top[1:]:
+        if t is None:
+            sums.append(None)
+        elif t[1]:
+            sums.append(_minor_value(raw, cost, t[3], t[2], t[2]))
+        else:
+            sums.append((t[0], 0))
     return sums
 
 

@@ -89,6 +89,26 @@ def count_augmentations(monkeypatch):
     return sizes
 
 
+def count_searches(monkeypatch):
+    """A list that gains, for every uniqueness (cycle) search, the order of
+    the minor whose tag it decides."""
+    searches = []
+    order = [None]
+    real_value, real_search = matrices._minor_value, matrices._has_cycle
+
+    def minor_value(raw, cost, state, rows, cols):
+        order[0] = len(rows)
+        return real_value(raw, cost, state, rows, cols)
+
+    def has_cycle(succ):
+        searches.append(order[0])
+        return real_search(succ)
+
+    monkeypatch.setattr(matrices, "_minor_value", minor_value)
+    monkeypatch.setattr(matrices, "_has_cycle", has_cycle)
+    return searches
+
+
 class TestDeterminants:
     def test_examples(self):
         assert det_brute(A) == tangible(7)
@@ -115,7 +135,26 @@ class TestDeterminants:
         assert det_brute(M, cap=9) == tangible(0)
         with pytest.raises(OrderTooLarge):
             det(M, engine="brute")
+        with pytest.raises(OrderTooLarge):  # its cofactors are of order 8
+            adjoint(M, engine="brute")
         assert det(M) == tangible(0)  # auto is not bound by the brute-force cap
+
+    def test_brute_determinant_from_its_cofactors(self, monkeypatch):
+        # The brute-force cofactor pass expands the determinant along row 0
+        # of the cofactors it folded; it folds no permutation of order n.
+        ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+        orders = []
+        real = matrices._brute_det
+        monkeypatch.setattr(matrices, "_brute_det", lambda raw, *cap: orders.append(len(raw)) or real(raw, *cap))
+        outcomes = set()
+        for n in range(1, 7):
+            for M in seeded_matrices(9000 + n, 30 if n <= 5 else 10, n, 1, ghostly):
+                d, cof = matrices._brute_cofactors(M)
+                assert max(orders) == n - 1 and len(orders) == n * n, M
+                orders.clear()
+                assert d == real(matrices._raw(M.rows)), M
+                outcomes.add("eps" if d is None else d[1])
+        assert outcomes == {"eps", 0, 1}
 
     def test_auto_is_the_kernel_above_order_9(self, monkeypatch):
         # ``auto`` runs no augmentation at any order, and its det, adjoint
@@ -276,7 +315,12 @@ class TestWarmStartedDrivers:
     GHOSTLY = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
     SPARSE = (Fraction(45, 100), Fraction(15, 100), Fraction(40, 100))
 
-    def test_tie_heavy_against_brute_force(self):
+    def test_tie_heavy_against_brute_force(self, monkeypatch):
+        # The sums read every minor's value and entry tags off its optimum;
+        # only an order's unique top minor with tangible entries runs the
+        # cycle search, so one characteristic polynomial runs at most n.
+        searches = count_searches(monkeypatch)
+        total = 0
         kinds = {"cofactor": set(), "coefficient": set()}
         for b, bound in enumerate((1, 2)):
             for p, probs in enumerate((self.GHOSTLY, self.SPARSE)):
@@ -286,10 +330,45 @@ class TestWarmStartedDrivers:
                         adj = adjoint(M, engine="brute")
                         chi = char_poly(M, engine="brute")
                         assert adjoint(M, engine="assignment") == adj, M
+                        searches.clear()
                         assert char_poly(M, engine="assignment") == chi, M
+                        assert len(searches) == len(set(searches)) <= n, (M, searches)
+                        total += len(searches)
                         for kind, values in (("cofactor", sum(adj.rows, ())), ("coefficient", chi.coeffs)):
                             kinds[kind].update("eps" if s.tag is None else s.is_tangible for s in values)
         assert kinds == {"cofactor": {"eps", True, False}, "coefficient": {"eps", True, False}}
+        assert total
+
+    def test_tie_heavy_above_the_brute_force_cap(self):
+        # Brute force refuses orders above 8, so the kernel is the reference.
+        kinds = set()
+        for n in (9, 10):
+            for p, probs in enumerate((self.GHOSTLY, self.SPARSE)):
+                for M in seeded_matrices(9100 + 10 * p + n, 6, n, 1, probs):
+                    adj = adjoint(M, engine="assignment")
+                    assert adj == adjoint(M), M
+                    for X in (M, adj):
+                        chi = char_poly(X, engine="assignment")
+                        assert chi == char_poly(X), X
+                        kinds.update(s.is_tangible for s in chi.coeffs[1:])
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("case", ["tied", "ghost entry", "long cycle"])
+    def test_which_orders_search(self, case, monkeypatch):
+        # Two tangible top minors tied at k = 1 give a ghost with no search;
+        # a unique top minor with a ghost entry needs none either; a unique
+        # top minor with tangible entries whose rival is one 5-cycle away
+        # does, and is a ghost.  Below k = 5 the embedded diagonal ties.
+        M, k, expected, searched = {
+            "tied": (parse_matrix("2\n1t 0t\n0t 1t\n"), 1, ghost(1), [2]),
+            "ghost entry": (parse_matrix("2\n3g 0t\n0t 1t\n"), 2, ghost(4), []),
+            "long cycle": (embed_principal(self.FIVE_CYCLE, (0, 2, 3, 4, 5), EPS), 5, ghost(0), [5]),
+        }[case]
+        searches = count_searches(monkeypatch)
+        chi = char_poly(M, engine="assignment")
+        assert sorted(searches) == searched
+        assert chi.coeffs[k] == expected
+        assert chi == char_poly(M, engine="brute")
 
     @pytest.mark.parametrize("name, expected", [("FIVE_CYCLE", ghost(0)), ("EPS_RIVAL", tangible(0))])
     def test_rival_as_a_principal_minor(self, name, expected):
