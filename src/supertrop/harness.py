@@ -41,7 +41,7 @@ from .matrices import (
     parse_matrix,
 )
 from .polynomials import SYMBOLIC_CAP, _claims_reports, claim1_check, claim2_check
-from .rng import MASK64, Xorshift64Star, derive_trial_seed
+from .rng import MASK64, Xorshift64Star, derive_trial_seed, rejection_limit
 from .scalars import EPS, Scalar
 
 __all__ = [
@@ -64,8 +64,9 @@ DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
 #: Largest order each mode accepts, through ``--n`` or ``--input``.  Brute
 #: force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial takes
 #: about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
-#: (mean of three at seed 42, a 2-vCPU CPython 3.11 host) takes 0.36 s at
-#: order 12 and 1.04 s at 13, most of it in the kernel's principal-minor pass.
+#: (mean of three at seed 42, three runs, a 2-vCPU CPython 3.11 host) takes
+#: 0.26 s at order 12 and 0.77 s at 13, most of it in the split phase of the
+#: kernel's principal-minor pass.
 ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "conjecture": 13}
 
 
@@ -191,23 +192,34 @@ def _draw(rng, n, bound, cuts, entries):
     """An n-by-n matrix drawn row by row.  Each entry takes one draw below
     the common denominator of the probabilities, which picks tangible, ghost
     or eps, and a non-eps entry then takes its value from ``[-bound, bound]``.
+    Each is the draw ``rng.next_below`` would make, a 64-bit word below the
+    bound's rejection limit reduced modulo the bound, with the two limits
+    computed once per matrix.
 
     ``entries`` interns the non-eps entries under ``2 * value + tag``: it
     holds at most ``2 * (2 * bound + 1)`` scalars, and never more than the
     entries drawn into it.
     """
     denom, t_cut, g_cut = cuts
-    next_below = rng.next_below
-    next_int = rng.next_int
+    span = 2 * bound + 1
+    kind_limit = rejection_limit(denom)
+    value_limit = rejection_limit(span)
+    next_u64 = rng.next_u64
     rows = []
     for _ in range(n):
         row = []
         for _ in range(n):
-            u = next_below(denom)
+            x = next_u64()
+            while x >= kind_limit:
+                x = next_u64()
+            u = x % denom
             if u >= g_cut:
                 row.append(EPS)
                 continue
-            value = next_int(-bound, bound)
+            x = next_u64()
+            while x >= value_limit:
+                x = next_u64()
+            value = x % span - bound
             tag = 1 if u < t_cut else 0
             key = 2 * value + tag
             s = entries.get(key)

@@ -7,7 +7,9 @@ Three determinant engines with an identical output contract:
 * a subset-DP kernel sums the same permutations row by row over column
   subsets in O(n 2^n); one pass of prefix and suffix row DPs gives the
   determinant and every cofactor, and a cycle-cover DP gives every sum of
-  principal minors;
+  principal minors.  It keeps one index plan per order, built on first use,
+  with O(n 2^n) memory, so its row DPs and cycle path sums do no bit
+  arithmetic;
 * the assignment engine solves the max-weight perfect-matching problem on
   the value grid with exact arithmetic, one shortest augmenting path at a
   time against dual-feasible potentials.  Three drivers share that step:
@@ -44,6 +46,7 @@ matrix convention; everything else is positional.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 
 from .errors import InternalError, OrderTooLarge, Singular
@@ -541,32 +544,70 @@ def _assignment_sums(raw):
 # sum over subsets gives exactly the brute-force result, ghost tags included,
 # provided every permutation is counted once (addition is not idempotent:
 # a tangible plus itself is a ghost).
+#
+# The subset arithmetic of the row DPs and of the cycle path sums depends on
+# the order alone, so it is done once per order, on first use, into an index
+# plan that every later call at that order shares and none changes.  A plan
+# holds O(n 2^n) small tuples, and each subset index in it is one shared int.
+# The split phase of the principal minors keeps its submask loop: a plan of
+# its (cycle, rest) pairs would hold 3^n entries (1.6 million at order 13).
+
+
+@functools.cache
+def _row_plan(n):
+    """``(by_count, pairs)`` for order ``n``: ``by_count[c]`` lists the
+    subsets of ``range(n)`` of size ``c``, and ``pairs[S]`` lists
+    ``(S ^ 1 << j, j)`` for every ``j`` in ``S``, ascending."""
+    size = 1 << n
+    index = tuple(range(size))
+    by_count = [[] for _ in range(n + 1)]
+    for S in index:
+        by_count[S.bit_count()].append(S)
+    pairs = tuple(
+        tuple((index[S ^ 1 << j], j) for j in range(n) if S >> j & 1) for S in index
+    )
+    return tuple(map(tuple, by_count)), pairs
+
+
+@functools.cache
+def _cycle_plan(n):
+    """``(C, s, steps)`` for every non-empty subset ``C`` of ``range(n)``,
+    ascending, with ``s = min(C)`` and ``steps`` the ``(w, C | 1 << w)`` for
+    every ``w > s`` outside ``C``: the ways to extend a path that starts at
+    ``s`` and runs through ``C``."""
+    index = tuple(range(1 << n))
+    plan = []
+    for C in index[1:]:
+        s = (C & -C).bit_length() - 1
+        steps = tuple((w, index[C | 1 << w]) for w in range(s + 1, n) if not C >> w & 1)
+        plan.append((C, s, steps))
+    return tuple(plan)
+
 
 def _prefix_dp(raw):
     """``f[S]``: the sum over the assignments of rows ``0..|S|-1`` onto the
     column set ``S``; ``f[full]`` is the determinant.  O(n 2^n)."""
     n = len(raw)
-    f = [None] * (1 << n)
+    by_count, pairs = _row_plan(n)
+    f = [None] * len(pairs)
     f[0] = _UNIT
-    for S in range(1, 1 << n):
-        row = raw[S.bit_count() - 1]
-        best = None
-        m = S
-        while m:
-            low = m & -m
-            m ^= low
-            prev = f[S ^ low]
-            e = row[low.bit_length() - 1]
-            if prev is None or e is None:
-                continue
-            v = prev[0] + e[0]
-            if best is None or v > best:
-                best = v
-                tag = prev[1] & e[1]
-            elif v == best:
-                tag = 0
-        if best is not None:
-            f[S] = (best, tag)
+    for r in range(n):
+        row = raw[r]
+        for S in by_count[r + 1]:
+            best = None
+            for T, j in pairs[S]:
+                prev = f[T]
+                e = row[j]
+                if prev is None or e is None:
+                    continue
+                v = prev[0] + e[0]
+                if best is None or v > best:
+                    best = v
+                    tag = prev[1] & e[1]
+                elif v == best:
+                    tag = 0
+            if best is not None:
+                f[S] = (best, tag)
     return f
 
 
@@ -587,24 +628,28 @@ def _cofactor_dp(A):
     O(n 2^n).
     """
     n = A.n
-    full = (1 << n) - 1
+    by_count, pairs = _row_plan(n)
+    full = len(pairs) - 1
     P = _prefix_table(A)
     Q = _prefix_dp(_raw(A.rows[::-1]))  # Q[T]: the last |T| rows onto the columns T
     cof = [[None] * n for _ in range(n)]
-    for S in range(full):
-        p = P[S]
-        if p is None:
-            continue
-        row = cof[S.bit_count()]
-        rest = full ^ S
-        m = rest
-        while m:
-            low = m & -m
-            m ^= low
-            q = Q[rest ^ low]
-            if q is not None:
-                j = low.bit_length() - 1
-                row[j] = _radd(row[j], (p[0] + q[0], p[1] & q[1]))
+    for i in range(n):
+        row = cof[i]
+        for S in by_count[i]:
+            p = P[S]
+            if p is None:
+                continue
+            pv, pt = p
+            for T, j in pairs[full ^ S]:
+                q = Q[T]
+                if q is None:
+                    continue
+                v = pv + q[0]
+                old = row[j]
+                if old is None or v > old[0]:
+                    row[j] = (v, pt & q[1])
+                elif v == old[0]:
+                    row[j] = (v, 0)
     return P[full], cof
 
 
@@ -618,38 +663,40 @@ def _principal_sums(raw):
     """
     n = len(raw)
     size = 1 << n
-    full = size - 1
     cyc = [None] * size  # cyc[C]: sum over the cyclic permutations of C
     paths = [None] * size  # paths[C][v]: paths from min(C) through C to v
     for s in range(n):
-        sbit = 1 << s
-        above = full ^ ((sbit << 1) - 1)
-        paths[sbit] = {s: _UNIT}
-        for m in range(1 << (n - s - 1)):
-            C = sbit | (m << (s + 1))
-            ends = paths[C]
-            if ends is None:
-                continue
-            total = None
-            free = above & ~C
-            for v, p in ends.items():
-                row = raw[v]
-                e = row[s]
-                if e is not None:
-                    total = _radd(total, (p[0] + e[0], p[1] & e[1]))
-                f = free
-                while f:
-                    low = f & -f
-                    f ^= low
-                    w = low.bit_length() - 1
-                    e = row[w]
-                    if e is None:
-                        continue
-                    nxt = paths[C | low]
-                    if nxt is None:
-                        nxt = paths[C | low] = {}
-                    nxt[w] = _radd(nxt.get(w), (p[0] + e[0], p[1] & e[1]))
-            cyc[C] = total
+        paths[1 << s] = {s: _UNIT}
+    for C, s, steps in _cycle_plan(n):
+        ends = paths[C]
+        if ends is None:
+            continue
+        paths[C] = None  # every path through C has been extended below
+        total = None
+        for v, (pv, pt) in ends.items():
+            row = raw[v]
+            e = row[s]
+            if e is not None:
+                x = pv + e[0]
+                if total is None or x > total[0]:
+                    total = (x, pt & e[1])
+                elif x == total[0]:
+                    total = (x, 0)
+            for w, D in steps:
+                e = row[w]
+                if e is None:
+                    continue
+                x = pv + e[0]
+                nxt = paths[D]
+                if nxt is None:
+                    paths[D] = {w: (x, pt & e[1])}
+                    continue
+                old = nxt.get(w)
+                if old is None or x > old[0]:
+                    nxt[w] = (x, pt & e[1])
+                elif x == old[0]:
+                    nxt[w] = (x, 0)
+        cyc[C] = total
     g = [None] * size  # g[S]: the principal minor on S
     g[0] = _UNIT
     sums = [None] * (n + 1)

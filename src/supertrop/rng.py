@@ -14,11 +14,20 @@ sampling, so every stream is identical across platforms and Python builds.
 
 from __future__ import annotations
 
-__all__ = ["MASK64", "GOLDEN64", "Xorshift64Star", "derive_trial_seed"]
+__all__ = ["MASK64", "GOLDEN64", "Xorshift64Star", "derive_trial_seed", "rejection_limit"]
 
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 _MULT = 0x2545F4914F6CDD1D
+
+
+def rejection_limit(bound: int) -> int:
+    """The rejection limit for uniform draws from ``range(bound)``,
+    ``1 <= bound <= 2**64``: a 64-bit word ``u`` below it gives ``u % bound``,
+    unbiased, and a word at or above it is drawn again."""
+    if not 1 <= bound <= MASK64 + 1:
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+    return (MASK64 + 1) - (MASK64 + 1) % bound
 
 
 class Xorshift64Star:
@@ -37,9 +46,7 @@ class Xorshift64Star:
 
     def next_below(self, bound: int) -> int:
         """Uniform draw from ``range(bound)``, ``bound <= 2**64``, unbiased via rejection."""
-        if not 1 <= bound <= MASK64 + 1:
-            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
-        limit = (MASK64 + 1) - (MASK64 + 1) % bound
+        limit = rejection_limit(bound)
         while True:
             u = self.next_u64()
             if u < limit:

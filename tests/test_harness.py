@@ -180,15 +180,19 @@ class TestGeneration:
         assert rejections >= 0
         assert is_nonsingular(A)
 
-    @pytest.mark.parametrize("bound", [1, 20, 2**63 - 1])
+    # A value span of 2**63 + 1 (bound 2**62) or a common denominator of
+    # 2**63 + 1 rejects about half of all 64-bit words, so those draws take
+    # the rejection branch often.
+    @pytest.mark.parametrize("bound", [1, 20, 2**62, 2**63 - 1])
     @pytest.mark.parametrize(
         "probs",
         [
             DEFAULT_PROBS,
             (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
             (Fraction(2**64 - 3, 2**64), Fraction(1, 2**64), Fraction(1, 2**63)),
+            (Fraction(2**63 - 1, 2**63 + 1), Fraction(1, 2**63 + 1), Fraction(1, 2**63 + 1)),
         ],
-        ids=["default", "thirds", "denominator-2**64"],
+        ids=["default", "thirds", "denominator-2**64", "denominator-2**63+1"],
     )
     def test_draws_match_the_reference_stream(self, bound, probs):
         # The generator interns its entries and builds the matrix unchecked;

@@ -746,6 +746,28 @@ class TestTextFormat:
             Matrix([[1]])
 
 
+class TestIndexPlans:
+    """The kernel's index plans depend on the order alone: a plan built for
+    one order must never serve another, and no call may change one."""
+
+    def test_interleaved_orders_match_brute_force(self):
+        # The caches start empty, so each order's plans are built between
+        # calls at other orders.
+        matrices._row_plan.cache_clear()
+        matrices._cycle_plan.cache_clear()
+        ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+        tags = set()
+        for i, n in enumerate((6, 1, 8, 3, 6, 2)):
+            for M in seeded_matrices(5400 + i, 2 if n == 8 else 6, n, 1, ghostly):
+                raw = matrices._raw(M.rows)
+                d, cof = matrices._brute_cofactors(M)
+                assert matrices._prefix_dp(raw)[-1] == d, M
+                assert matrices._cofactor_dp(Matrix(M.rows)) == (d, cof), M
+                assert matrices._principal_sums(raw) == matrices._brute_sums(raw), M
+                tags.add(None if d is None else d[1])
+        assert tags == {None, 0, 1}
+
+
 class TestPrefixMemo:
     """The kernel keeps a matrix's prefix DP on the matrix; results must not
     depend on whether, or by which call, it was filled."""
