@@ -589,7 +589,7 @@ def _prefix_dp(raw):
     column set ``S``; ``f[full]`` is the determinant.  O(n 2^n)."""
     n = len(raw)
     by_count, pairs = _row_plan(n)
-    f = [None] * len(pairs)
+    f = [None] * (1 << n)
     f[0] = _UNIT
     for r in range(n):
         row = raw[r]
@@ -628,8 +628,8 @@ def _cofactor_dp(A):
     O(n 2^n).
     """
     n = A.n
+    full = (1 << n) - 1
     by_count, pairs = _row_plan(n)
-    full = len(pairs) - 1
     P = _prefix_table(A)
     Q = _prefix_dp(_raw(A.rows[::-1]))  # Q[T]: the last |T| rows onto the columns T
     cof = [[None] * n for _ in range(n)]

@@ -1,6 +1,6 @@
 import pytest
 
-from supertrop.rng import GOLDEN64, MASK64, Xorshift64Star, derive_trial_seed
+from supertrop.rng import GOLDEN64, MASK64, Xorshift64Star, derive_trial_seed, rejection_limit
 
 
 class TestXorshift:
@@ -32,6 +32,16 @@ class TestXorshift:
         assert 0 <= rng.next_below(2**64) < 2**64
         with pytest.raises(ValueError):
             rng.next_below(2**64 + 1)
+
+    def test_rejection_limit(self):
+        # The largest multiple of the bound at most 2**64: a bound just above
+        # 2**63 rejects almost half of all words, a power of two none.
+        assert rejection_limit(1) == rejection_limit(2**64) == 2**64
+        assert rejection_limit(3) == 2**64 - 1
+        assert rejection_limit(2**63 + 1) == 2**63 + 1
+        for bad in (0, 2**64 + 1):
+            with pytest.raises(ValueError):
+                rejection_limit(bad)
 
     def test_next_int_inclusive(self):
         rng = Xorshift64Star(13)
