@@ -64,16 +64,17 @@ DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
 #: Largest order each mode accepts, through ``--n`` or ``--input``.  Brute
 #: force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial takes
 #: about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
-#: (mean of three at seed 42, three runs, a 2-vCPU CPython 3.11 host) takes
-#: 0.26 s at order 12 and 0.77 s at 13, most of it in the split phase of the
-#: kernel's principal-minor pass.
+#: (mean of three at seed 42, six runs, a 2-vCPU CPython 3.11 host) takes
+#: 0.08-0.10 s at order 12 and 0.17-0.22 s at 13, about two thirds of it in
+#: the kernel's two principal-minor passes, on A and on adj A.
 ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "conjecture": 13}
 
 
 class TrialConfig:
     """One run's settings, checked by :meth:`validate`; the CLI fills one in
     from its flags.  It also keeps the entries its runs have drawn, one
-    shared :class:`Scalar` per value and tag."""
+    shared :class:`Scalar` per value and tag, and the sampling cuts of its
+    probabilities, computed on the first draw."""
 
     def __init__(
         self,
@@ -101,6 +102,7 @@ class TrialConfig:
         self.out_format = out_format
         self.input_text = input_text
         self._entries = {}
+        self._cuts = None
 
     def validate(self):
         if self.mode not in MODES:
@@ -245,7 +247,9 @@ def generate_matrix(rng: Xorshift64Star, n: int, cfg: TrialConfig, require_nonsi
     tangible probability of 0 before any draw; this limit catches one small
     enough that non-singular draws are out of reach.
     """
-    cuts = _prob_cuts(cfg.probs)
+    cuts = cfg._cuts
+    if cuts is None:
+        cuts = cfg._cuts = _prob_cuts(cfg.probs)
     for rejections in range(REJECTION_LIMIT):
         A = _draw(rng, n, cfg.bound, cuts, cfg._entries)
         if not require_nonsingular or is_nonsingular(A, cfg.engine):

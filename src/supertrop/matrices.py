@@ -6,10 +6,11 @@ Three determinant engines with an identical output contract:
   (the reference, capped at a configurable order);
 * a subset-DP kernel sums the same permutations row by row over column
   subsets in O(n 2^n); one pass of prefix and suffix row DPs gives the
-  determinant and every cofactor, and a cycle-cover DP gives every sum of
-  principal minors.  It keeps one index plan per order, built on first use,
-  with O(n 2^n) memory, so its row DPs and cycle path sums do no bit
-  arithmetic;
+  determinant and every cofactor, and one row DP of ``det(A + lambda I)``,
+  graded by the number of rows that take lambda, gives every sum of
+  principal minors in O(n^2 2^n).  It keeps one index plan per order, built
+  on first use, with O(n 2^n) memory, so the inner loops of its row DPs do
+  no bit arithmetic;
 * the assignment engine solves the max-weight perfect-matching problem on
   the value grid with exact arithmetic, one shortest augmenting path at a
   time against dual-feasible potentials.  Three drivers share that step:
@@ -28,7 +29,7 @@ One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
 three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
 matrix, the determinant with the whole cofactor grid, and the principal-minor
 sums of a grid.  ``auto`` is the kernel at every order, so it costs
-O(n 2^n) time and memory for a determinant and O(3^n) for the
+O(n 2^n) time and memory for a determinant and O(n^2 2^n) time for the
 characteristic coefficients; ``brute`` folds each minor on its own;
 ``assignment`` takes each family of minors from its driver.  ``both`` is
 built from the other three: it runs each of them and raises
@@ -545,12 +546,19 @@ def _assignment_sums(raw):
 # provided every permutation is counted once (addition is not idempotent:
 # a tangible plus itself is a ghost).
 #
-# The subset arithmetic of the row DPs and of the cycle path sums depends on
-# the order alone, so it is done once per order, on first use, into an index
-# plan that every later call at that order shares and none changes.  A plan
-# holds O(n 2^n) small tuples, and each subset index in it is one shared int.
-# The split phase of the principal minors keeps its submask loop: a plan of
-# its (cycle, rest) pairs would hold 3^n entries (1.6 million at order 13).
+# The principal minors come from the same row DP run on ``A + lambda I``
+# with lambda a tangible unit: ``det(A + lambda I) = sum_d chi_{n-d} lambda^d``
+# (Cuninghame-Green's characteristic maxpolynomial).  Expanding the product
+# of each permutation over the diagonal sums ``a_ii + lambda`` pairs a
+# permutation with a set ``F`` of its fixed points that take lambda, and
+# such a pair is exactly a set ``F`` with a permutation of the rest.  So
+# the coefficient of lambda^d counts every permutation of every principal
+# minor of order n - d once, and equals ``chi_{n-d}`` exactly.
+#
+# The subset arithmetic of the row DPs depends on the order alone, so it is
+# done once per order, on first use, into an index plan that every later
+# call at that order shares and none changes.  A plan holds O(n 2^n) small
+# tuples, and each subset index in it is one shared int.
 
 
 @functools.cache
@@ -567,21 +575,6 @@ def _row_plan(n):
         tuple((index[S ^ 1 << j], j) for j in range(n) if S >> j & 1) for S in index
     )
     return tuple(map(tuple, by_count)), pairs
-
-
-@functools.cache
-def _cycle_plan(n):
-    """``(C, s, steps)`` for every non-empty subset ``C`` of ``range(n)``,
-    ascending, with ``s = min(C)`` and ``steps`` the ``(w, C | 1 << w)`` for
-    every ``w > s`` outside ``C``: the ways to extend a path that starts at
-    ``s`` and runs through ``C``."""
-    index = tuple(range(1 << n))
-    plan = []
-    for C in index[1:]:
-        s = (C & -C).bit_length() - 1
-        steps = tuple((w, index[C | 1 << w]) for w in range(s + 1, n) if not C >> w & 1)
-        plan.append((C, s, steps))
-    return tuple(plan)
 
 
 def _prefix_dp(raw):
@@ -656,75 +649,52 @@ def _cofactor_dp(A):
 def _principal_sums(raw):
     """``sums[k]``: the sum of all principal k-by-k minors, k = 0..n.
 
-    Each permutation of a subset ``S`` is split into the cycle through the
-    smallest vertex of ``S`` and a permutation of the rest, so it is counted
-    once.  Cycles come from Held-Karp path sums that start at their smallest
-    vertex.  O(n^2 2^n + 3^n).
+    One row DP of ``det(A + lambda I)``: ``f[S][d]`` is the sum over the
+    assignments of rows ``0..|S|-1`` onto the column set ``S`` in which ``d``
+    rows take lambda, and ``chi_k`` is ``f[full][n - k]``.  Row ``r`` extends
+    ``f[S ^ 1 << j][d]`` by ``a_rj`` and, for ``j == r``, also carries
+    ``f[S ^ 1 << r][d]`` into ``f[S][d + 1]``, as lambda is a tangible unit.
+    ``f[S]`` lists ``d = 0..m``, with ``m`` the number of indices in ``S``
+    below ``|S|`` (the rows that can take lambda), and ``None`` for eps.
+    O(n^2 2^n).
     """
     n = len(raw)
-    size = 1 << n
-    cyc = [None] * size  # cyc[C]: sum over the cyclic permutations of C
-    paths = [None] * size  # paths[C][v]: paths from min(C) through C to v
-    for s in range(n):
-        paths[1 << s] = {s: _UNIT}
-    for C, s, steps in _cycle_plan(n):
-        ends = paths[C]
-        if ends is None:
-            continue
-        paths[C] = None  # every path through C has been extended below
-        total = None
-        for v, (pv, pt) in ends.items():
-            row = raw[v]
-            e = row[s]
-            if e is not None:
-                x = pv + e[0]
-                if total is None or x > total[0]:
-                    total = (x, pt & e[1])
-                elif x == total[0]:
-                    total = (x, 0)
-            for w, D in steps:
-                e = row[w]
+    by_count, pairs = _row_plan(n)
+    f = [None] * (1 << n)
+    f[0] = [_UNIT]
+    for r in range(n):
+        row = raw[r]
+        low = (2 << r) - 1
+        for S in by_count[r + 1]:
+            out = [None] * ((S & low).bit_count() + 1)
+            for T, j in pairs[S]:
+                prev = f[T]
+                if j == r:
+                    d = 1
+                    for p in prev:
+                        if p is not None:
+                            o = out[d]
+                            if o is None or p[0] > o[0]:
+                                out[d] = p
+                            elif p[0] == o[0]:
+                                out[d] = (p[0], 0)
+                        d += 1
+                e = row[j]
                 if e is None:
                     continue
-                x = pv + e[0]
-                nxt = paths[D]
-                if nxt is None:
-                    paths[D] = {w: (x, pt & e[1])}
-                    continue
-                old = nxt.get(w)
-                if old is None or x > old[0]:
-                    nxt[w] = (x, pt & e[1])
-                elif x == old[0]:
-                    nxt[w] = (x, 0)
-        cyc[C] = total
-    g = [None] * size  # g[S]: the principal minor on S
-    g[0] = _UNIT
-    sums = [None] * (n + 1)
-    sums[0] = _UNIT
-    for S in range(1, size):
-        low = S & -S
-        rest = S ^ low
-        sub = rest
-        best = None
-        while True:
-            c = cyc[low | sub]
-            if c is not None:
-                r = g[rest ^ sub]
-                if r is not None:
-                    v = c[0] + r[0]
-                    if best is None or v > best:
-                        best = v
-                        tag = c[1] & r[1]
-                    elif v == best:
-                        tag = 0
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-        if best is not None:
-            g[S] = (best, tag)
-            k = S.bit_count()
-            sums[k] = _radd(sums[k], g[S])
-    return sums
+                ev, et = e
+                d = 0
+                for p in prev:
+                    if p is not None:
+                        x = p[0] + ev
+                        o = out[d]
+                        if o is None or x > o[0]:
+                            out[d] = (x, p[1] & et)
+                        elif x == o[0]:
+                            out[d] = (x, 0)
+                    d += 1
+            f[S] = out
+    return f[-1][::-1]  # f[full][n] is the unit: every row takes lambda
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,19 @@ class TestGeneration:
         # Six distinct entries over 270 draws: each is one shared object.
         assert len(set(drawn)) == len({id(s) for s in drawn}) == len(cfg._entries) == 6
 
+    def test_cuts_are_computed_once_per_config(self, monkeypatch):
+        # The sampling cuts depend on the probabilities alone: one lcm and
+        # two Fraction products per config, not per draw.
+        import supertrop.harness as harness
+
+        calls = []
+        real = harness._prob_cuts
+        monkeypatch.setattr(harness, "_prob_cuts", lambda probs: calls.append(probs) or real(probs))
+        cfg = TrialConfig(mode="conjecture", n_values=(1, 2, 3), trials=12, seed=42)
+        code, out, _ = run_capture(cfg)
+        assert code == 0 and len(records(out)) == 12
+        assert calls == [cfg.probs]
+
     def test_rejection_limit_on_all_ghost(self):
         # Every permutation product of an all-ghost matrix is ghost, so the
         # determinant is never tangible and the sampler must give up.

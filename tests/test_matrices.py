@@ -751,10 +751,9 @@ class TestIndexPlans:
     one order must never serve another, and no call may change one."""
 
     def test_interleaved_orders_match_brute_force(self):
-        # The caches start empty, so each order's plans are built between
+        # The cache starts empty, so each order's plan is built between
         # calls at other orders.
         matrices._row_plan.cache_clear()
-        matrices._cycle_plan.cache_clear()
         ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
         tags = set()
         for i, n in enumerate((6, 1, 8, 3, 6, 2)):
@@ -766,6 +765,43 @@ class TestIndexPlans:
                 assert matrices._principal_sums(raw) == matrices._brute_sums(raw), M
                 tags.add(None if d is None else d[1])
         assert tags == {None, 0, 1}
+
+
+class TestIdentitiesAboveTheCap:
+    """Identities that tie the kernel's passes to one another, checked above
+    BRUTE_CAP, where no reference engine runs: ``chi_n(A) = det A``,
+    ``chi_{n-1}(A)`` is the sum of the diagonal cofactors, and ``chi`` is
+    unchanged under transposition and under ``P A P^T``."""
+
+    GHOSTLY = TestWarmStartedDrivers.GHOSTLY
+    SPARSE = TestWarmStartedDrivers.SPARSE
+    EMPTY = (Fraction(15, 100), Fraction(5, 100), Fraction(80, 100))
+    DRAWS = ((1, GHOSTLY), (1, SPARSE), (1, EMPTY), (6, DEFAULT_PROBS))
+
+    def test_trace_determinant_and_invariance(self):
+        # Bound 1 makes ties, and so ghost coefficients, common; the eps-heavy
+        # draws leave the top coefficients eps.
+        kinds = set()
+        for n in range(9, 14):
+            for p, (bound, probs) in enumerate(self.DRAWS):
+                rng = Xorshift64Star(9300 + 10 * p + n)
+                for M in [random_matrix(rng, n, bound, probs) for _ in range(3 if n < 12 else 1)]:
+                    raw = matrices._raw(M.rows)
+                    chi = matrices._principal_sums(raw)
+                    d, cof = matrices._cofactor_dp(M)
+                    trace = None
+                    for i in range(n):
+                        trace = matrices._radd(trace, cof[i][i])
+                    assert chi[n] == d and chi[n - 1] == trace, M
+                    assert matrices._principal_sums(list(zip(*raw))) == chi, M
+                    perm = list(range(n))
+                    for i in range(n - 1, 0, -1):
+                        j = rng.next_below(i + 1)
+                        perm[i], perm[j] = perm[j], perm[i]
+                    conjugated = [[raw[a][b] for b in perm] for a in perm]
+                    assert matrices._principal_sums(conjugated) == chi, (M, perm)
+                    kinds.update(None if c is None else c[1] for c in chi[1:])
+        assert kinds == {None, 0, 1}
 
 
 class TestPrefixMemo:
