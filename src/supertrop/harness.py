@@ -42,7 +42,7 @@ from .matrices import (
 )
 from .polynomials import SYMBOLIC_CAP, _claims_reports, claim1_check, claim2_check
 from .rng import MASK64, Xorshift64Star, derive_trial_seed, rejection_limit
-from .scalars import EPS, Scalar
+from .scalars import EPS, Scalar, grid_order
 
 __all__ = [
     "MODES",
@@ -429,11 +429,10 @@ def _trial_records(cfg):
     """One record for ``--input``, else one per seeded trial, in trial order."""
     draw, parse, record = _SUITES[cfg.mode]
     if cfg.input_text is not None:
-        matrix = parse(cfg.input_text)
-        n = matrix.n if isinstance(matrix, Matrix) else len(matrix)
+        n = grid_order(cfg.input_text)  # refused above the cap before a row is parsed
         check_order(cfg.mode, n)
         cfg.check_ks(n)
-        yield record(cfg, 0, matrix, None, 0)
+        yield record(cfg, 0, parse(cfg.input_text), None, 0)
         return
     for index in range(cfg.trials):
         seed = derive_trial_seed(cfg.seed, index)

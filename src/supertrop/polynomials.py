@@ -7,15 +7,20 @@ a given order n and level k:
 * ``alpha``: the k-th characteristic coefficient of the adjoint of the
   all-variable matrix;
 * ``beta``: the (k-1)-fold product of the variable determinant times the
-  (n-k)-th characteristic coefficient of the variable matrix, built by
-  polynomial products (the tests compare it term for term with a direct
-  enumeration of index tuples);
+  (n-k)-th characteristic coefficient of the variable matrix;
 * ``gamma``: the restriction of beta to its tangible-coefficient terms.
 
+Every characteristic coefficient, and so every determinant, comes from one
+graded row DP: the kernel's row DP of ``det(A + lambda I)`` run with
+polynomial arithmetic.  One pass over the variable matrix gives ``det`` and
+every ``chi_m`` behind beta; one pass over the symbolic adjoint, whose cells
+are the determinants of the variable minors, gives every alpha.  Both are
+kept per order.  The tests compare alpha and beta term for term with direct
+enumerations of permutations and index tuples.
+
 On top of these sit the mechanical support/evaluation checks used by the
-verification harness.  Orders are capped at ``SYMBOLIC_CAP`` (4): the
-construction is a full symbolic expansion and explodes combinatorially
-beyond that.
+verification harness.  Orders are capped at ``SYMBOLIC_CAP`` (4): the term
+counts explode combinatorially beyond that.
 
 Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
@@ -31,11 +36,10 @@ entry), matching the printed form ``v{row}{col}``.
 from __future__ import annotations
 
 import collections
-import itertools
 from functools import lru_cache
 
 from .errors import InternalError, OrderTooLarge, Singular
-from .matrices import Matrix, _surpassing_sides
+from .matrices import Matrix, _minor, _row_plan, _surpassing_sides
 from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
 
 __all__ = [
@@ -47,8 +51,6 @@ __all__ = [
     "poly_add",
     "poly_mul",
     "poly_det",
-    "chi_poly",
-    "adjoint_cells",
     "build_alpha",
     "build_beta",
     "build_gamma",
@@ -169,48 +171,62 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return _raw(p.n, terms)
 
 
+def _poly_sums(cells, n):
+    """``sums[k]``: the sum of all principal k-by-k minors of the square grid
+    ``cells`` of order-n polynomials, k = 0..m; ``sums[m]`` is its determinant.
+
+    The row DP of :func:`matrices._principal_sums` over the same index plan,
+    with :func:`poly_add` and :func:`poly_mul` as the semiring: ``f[S][d]``
+    sums the assignments of rows ``0..|S|-1`` onto the columns ``S`` in which
+    ``d`` rows take the tangible unit lambda on the diagonal.
+    """
+    m = len(cells)
+    by_count, pairs = _row_plan(m)
+    zero = zero_poly(n)
+    f = [None] * (1 << m)
+    f[0] = [unit_poly(n)]
+    for r in range(m):
+        row = cells[r]
+        low = (2 << r) - 1
+        for S in by_count[r + 1]:
+            out = [zero] * ((S & low).bit_count() + 1)
+            for T, j in pairs[S]:
+                prev = f[T]
+                if j == r:
+                    for d, p in enumerate(prev, 1):
+                        out[d] = poly_add(out[d], p)
+                for d, p in enumerate(prev):
+                    out[d] = poly_add(out[d], poly_mul(p, row[j]))
+            f[S] = out
+    return f[-1][::-1]  # f[full][m] is the unit: every row takes lambda
+
+
 def poly_det(cells, n: int) -> Poly:
     """Determinant of a square grid of polynomials over order-n variables.
 
     The empty grid yields the unit (empty-product convention), which is what
     the k = 0 / k = n edge cases rely on.
     """
-    m = len(cells)
-    acc = zero_poly(n)
-    for perm in itertools.permutations(range(m)):
-        prod = unit_poly(n)
-        for i in range(m):
-            prod = poly_mul(prod, cells[i][perm[i]])
-        acc = poly_add(acc, prod)
-    return acc
+    return _poly_sums(cells, n)[-1]
 
 
 def _variable_cells(n):
     return [[variable(n, i + 1, j + 1) for j in range(n)] for i in range(n)]
 
 
-def chi_poly(n: int, m: int) -> Poly:
-    """Sum of all principal m-by-m minors of the all-variable matrix."""
+@lru_cache(maxsize=None)
+def _variable_sums(n):
+    """Every ``chi_m`` of the all-variable matrix, m = 0..n."""
+    return _poly_sums(_variable_cells(n), n)
+
+
+@lru_cache(maxsize=None)
+def _adjoint_sums(n):
+    """Every ``chi_m`` of the adjoint of the all-variable matrix, m = 0..n;
+    its entry (i, j) is the minor without row j and column i."""
     cells = _variable_cells(n)
-    acc = zero_poly(n)
-    for subset in itertools.combinations(range(n), m):
-        acc = poly_add(acc, poly_det([[cells[a][b] for b in subset] for a in subset], n))
-    return acc
-
-
-def _cofactor_poly(n, i, j):
-    cells = _variable_cells(n)
-    minor = [
-        [cells[r][c] for c in range(n) if c != j]
-        for r in range(n)
-        if r != i
-    ]
-    return poly_det(minor, n)
-
-
-def adjoint_cells(n: int):
-    """Entries of the adjoint of the all-variable matrix, each a cofactor polynomial."""
-    return [[_cofactor_poly(n, j, i) for j in range(n)] for i in range(n)]
+    adj = [[poly_det(_minor(cells, j, i), n) for j in range(n)] for i in range(n)]
+    return _poly_sums(adj, n)
 
 
 def _check_caps(n, k, k_floor):
@@ -230,13 +246,7 @@ def build_alpha(n: int, k: int) -> Poly:
     polynomial as read-only.
     """
     _check_caps(n, k, 0)
-    if k == 0:
-        return unit_poly(n)
-    adj = adjoint_cells(n)
-    acc = zero_poly(n)
-    for subset in itertools.combinations(range(n), k):
-        acc = poly_add(acc, poly_det([[adj[a][b] for b in subset] for a in subset], n))
-    return acc
+    return _adjoint_sums(n)[k]
 
 
 @lru_cache(maxsize=None)
@@ -247,11 +257,11 @@ def build_beta(n: int, k: int) -> Poly:
     polynomial.  Built via polynomial products.  Cached; treat as read-only.
     """
     _check_caps(n, k, 1)
-    det_v = poly_det(_variable_cells(n), n)
+    sums = _variable_sums(n)
     beta = unit_poly(n)
     for _ in range(k - 1):
-        beta = poly_mul(beta, det_v)
-    return poly_mul(beta, chi_poly(n, n - k))
+        beta = poly_mul(beta, sums[n])
+    return poly_mul(beta, sums[n - k])
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ __all__ = [
     "parse_rational",
     "parse_int",
     "parse_grid",
+    "grid_order",
     "format_scalar",
 ]
 
@@ -233,9 +234,9 @@ def parse_scalar(token: str) -> Scalar:
     return Scalar(value, _TANGIBLE if token[-1] == "t" else _GHOST)
 
 
-def parse_grid(text: str, parse_token) -> list:
-    """Rows of the matrix text format: the order n >= 1, then n lines of n
-    tokens, each read by ``parse_token``; raises ValueError on anything else."""
+def _grid_lines(text):
+    """``(n, lines)``: the non-blank lines of the matrix text format, stripped,
+    and the order n >= 1 on the first; raises ValueError on anything else."""
     lines = [line for line in (raw.strip() for raw in text.splitlines()) if line]
     if not lines:
         raise ValueError("empty matrix text")
@@ -245,6 +246,19 @@ def parse_grid(text: str, parse_token) -> list:
         raise ValueError(f"first line must be the order, got {lines[0]!r}") from exc
     if n < 1:
         raise ValueError(f"order must be at least 1, got {n}")
+    return n, lines
+
+
+def grid_order(text: str) -> int:
+    """The order line of the matrix text format, read without parsing a row,
+    so an order can be refused before its rows are built."""
+    return _grid_lines(text)[0]
+
+
+def parse_grid(text: str, parse_token) -> list:
+    """Rows of the matrix text format: the order n >= 1, then n lines of n
+    tokens, each read by ``parse_token``; raises ValueError on anything else."""
+    n, lines = _grid_lines(text)
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []

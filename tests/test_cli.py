@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from supertrop import matrices, mul, polynomials, tangible
+from supertrop import Scalar, matrices, mul, polynomials, tangible
 from supertrop.cli import main, parse_ks, parse_n_range, parse_probs
 
 
@@ -121,6 +121,17 @@ class TestMain:
         path.write_text("5\n" + "0t 0t 0t 0t 0t\n" * 5)
         assert main(["--mode", "claims", "--input", str(path)]) == 2
         assert "claims mode needs order <= 4, got 5" in capsys.readouterr().err
+
+    def test_input_above_the_cap_is_refused_before_its_rows(self, tmp_path, capsys, monkeypatch):
+        # 600 rows of 600 entries, about 1 MB: the order line alone refuses it.
+        path = tmp_path / "m.txt"
+        path.write_text("600\n" + ("1t " * 600 + "\n") * 600)
+        built = []
+        real = Scalar.__init__
+        monkeypatch.setattr(Scalar, "__init__", lambda s, value, tag: built.append(1) or real(s, value, tag))
+        assert main(["--mode", "conjecture", "--input", str(path)]) == 2
+        assert "conjecture mode needs order <= 13, got 600" in capsys.readouterr().err
+        assert built == []
 
     @pytest.mark.parametrize(
         "mode, cap, token",

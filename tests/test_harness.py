@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from supertrop import polynomials
 from supertrop.errors import RejectionLimit
 from supertrop.harness import (
     DEFAULT_PROBS,
@@ -381,6 +382,33 @@ class TestRun:
         _, out, _ = run_capture(cfg)
         for r in records(out):
             assert [c["k"] for c in r["results"]] == [0, 2]
+
+    def test_claims_ks_filter_on_cold_symbolic_caches(self):
+        # Every alpha and beta of an order comes from one cached pass, filled
+        # by whichever k asks first: a filtered run on cold caches must write
+        # the unfiltered run's rows, restricted to the k it keeps.
+        def claims_rows(ks):
+            for cached in (polynomials.build_alpha, polynomials.build_beta, polynomials.build_gamma,
+                           polynomials._variable_sums, polynomials._adjoint_sums):
+                cached.cache_clear()
+            cfg = TrialConfig(mode="claims", n_values=(2, 3, 4), trials=30, bound=1, seed=42,
+                              engine="both", ks=ks)
+            cfg.validate()
+            code, out, _ = run_capture(cfg)
+            assert code == 0
+            return records(out)
+
+        filtered = claims_rows((1, 3))
+        expected = []
+        for r in claims_rows(None):
+            if r["type"] == "symbolic":
+                if r["k"] in (1, 3):
+                    expected.append(r)
+                continue
+            results = [c for c in r["results"] if c["k"] in (1, 3)]
+            expected.append(dict(r, results=results, ok=all(c["holds"] for c in results)))
+        assert filtered == expected
+        assert [(r["n"], r["k"]) for r in filtered if r["type"] == "symbolic"] == [(2, 1), (3, 1), (3, 3), (4, 1), (4, 3)]
 
     def test_ks_filter_intersects_with_order(self):
         # k values beyond a trial's order are skipped, not an error.

@@ -767,11 +767,19 @@ class TestIndexPlans:
         assert tags == {None, 0, 1}
 
 
+def _rmul(a, b):
+    """Product of two raw cells."""
+    return None if a is None or b is None else (a[0] + b[0], a[1] & b[1])
+
+
 class TestIdentitiesAboveTheCap:
     """Identities that tie the kernel's passes to one another, checked above
     BRUTE_CAP, where no reference engine runs: ``chi_n(A) = det A``,
-    ``chi_{n-1}(A)`` is the sum of the diagonal cofactors, and ``chi`` is
-    unchanged under transposition and under ``P A P^T``."""
+    ``chi_{n-1}(A)`` is the sum of the diagonal cofactors, ``chi`` is
+    unchanged under transposition and under ``P A P^T``, Laplace's
+    ``(A adj A)_ii = det A`` with every off-diagonal entry of ``A adj A`` a
+    ghost or eps, and scaling by a tangible lambda multiplies ``chi_k`` by
+    ``lambda^k`` and ``adj A`` by ``lambda^(n-1)``."""
 
     GHOSTLY = TestWarmStartedDrivers.GHOSTLY
     SPARSE = TestWarmStartedDrivers.SPARSE
@@ -800,6 +808,26 @@ class TestIdentitiesAboveTheCap:
                         perm[i], perm[j] = perm[j], perm[i]
                     conjugated = [[raw[a][b] for b in perm] for a in perm]
                     assert matrices._principal_sums(conjugated) == chi, (M, perm)
+                    # (A adj A)_il sums a_ij over the cofactors of row l: the
+                    # determinant for l = i, else that of a matrix whose rows
+                    # i and l are equal, where every term appears twice.
+                    for i in range(n):
+                        for l in range(n):
+                            entry = None
+                            for j in range(n):
+                                entry = matrices._radd(entry, _rmul(raw[i][j], cof[l][j]))
+                            if i == l:
+                                assert entry == d, (M, i)
+                            else:
+                                assert entry is None or entry[1] == 0, (M, i, l)
+                    lam = -3  # tangible
+                    scaled = [[_rmul((lam, 1), e) for e in row] for row in raw]
+                    assert matrices._principal_sums(scaled) == [
+                        _rmul((k * lam, 1), c) for k, c in enumerate(chi)
+                    ], M
+                    assert matrices._cofactor_dp(matrices._scalar_grid(scaled))[1] == [
+                        [_rmul(((n - 1) * lam, 1), c) for c in row] for row in cof
+                    ], M
                     kinds.update(None if c is None else c[1] for c in chi[1:])
         assert kinds == {None, 0, 1}
 

@@ -141,6 +141,43 @@ def beta_by_tuples(n, k):
     return Poly(n, terms)
 
 
+def alpha_by_permutations(n, k):
+    """Reference for ``build_alpha``: ``chi_k`` of the adjoint of the variable
+    matrix expanded directly, one unit term per index tuple.
+
+    A k-subset ``S`` and a permutation ``tau`` of ``S`` pick the adjoint
+    entries ``(a, tau(a))``, each the minor without row ``tau(a)`` and column
+    ``a``; every ``a`` then takes one bijection of the other rows onto the
+    other columns.
+    """
+    terms = {}
+    for subset in itertools.combinations(range(n), k):
+        for tau in itertools.permutations(subset):
+            bijections = []
+            for a, b in zip(subset, tau):
+                rows = [r for r in range(n) if r != b]
+                cols = [c for c in range(n) if c != a]
+                bijections.append([tuple(zip(rows, image)) for image in itertools.permutations(cols)])
+            for choice in itertools.product(*bijections):
+                exps = [0] * (n * n)
+                for pairs in choice:
+                    for r, c in pairs:
+                        exps[r * n + c] += 1
+                key = tuple(exps)
+                seen = terms.get(key)
+                terms[key] = tangible(0) if seen is None else add(seen, tangible(0))
+    return Poly(n, terms)
+
+
+#: Term counts ``(alpha, beta, gamma)`` per order and k = 1..n.
+TERM_COUNTS = {
+    1: [(1, 1, 1)],
+    2: [(2, 2, 2), (2, 2, 2)],
+    3: [(6, 6, 6), (21, 18, 18), (21, 21, 6)],
+    4: [(24, 24, 24), (348, 276, 264), (1584, 1128, 96), (2008, 2008, 24)],
+}
+
+
 class TestPolyArithmetic:
     def test_add_merges_to_ghost(self):
         e1 = exps(2, (1, 1, 1))
@@ -233,6 +270,19 @@ class TestBuilders:
         for n in range(1, 5):
             for k in range(1, n + 1):
                 assert build_beta(n, k) == beta_by_tuples(n, k), (n, k)
+
+    def test_alpha_equals_permutation_enumeration(self):
+        for n in range(1, 5):
+            for k in range(n + 1):
+                assert build_alpha(n, k) == alpha_by_permutations(n, k), (n, k)
+
+    def test_term_counts(self):
+        for n, counts in TERM_COUNTS.items():
+            built = [
+                (len(build_alpha(n, k)), len(build_beta(n, k)), len(build_gamma(n, k)))
+                for k in range(1, n + 1)
+            ]
+            assert built == counts, n
 
     def test_builders_are_cached(self):
         assert build_alpha(3, 2) is build_alpha(3, 2)
