@@ -18,7 +18,8 @@ in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
 ``BRUTE_CAP`` under ``--engine brute`` or ``both``, an integer flag value
 (or ``--input`` order line) that is not ASCII ``-?digits``, and a ``--k``
 filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
-``0..n`` in ``conjecture`` and ``oracle``) at any order of the run.  ``--k``
+``0..n`` in ``conjecture`` and ``oracle``) at any order of the run, or only
+k = 0 on a singular ``--input`` matrix (k = 0 needs an invertible one).  ``--k``
 in ``detcross`` or ``bench`` (no per-k checks), ``--allow-singular``
 outside ``conjecture`` and ``--engine`` other than ``auto`` outside
 ``conjecture`` and ``claims`` (``detcross`` and ``bench`` run every engine,

@@ -425,6 +425,15 @@ _SUITES = {
 }
 
 
+def _is_singular_input(cfg, matrix):
+    """True if ``matrix`` has no k = 0 check in ``cfg``'s mode: a ``conjecture``
+    matrix whose determinant is not tangible, an ``oracle`` one whose
+    determinant is 0.  (``claims`` refuses a singular matrix outright.)"""
+    if cfg.mode == "oracle":
+        return classical.rat_det(matrix) == 0
+    return cfg.mode == "conjecture" and not is_nonsingular(matrix, cfg.engine)
+
+
 def _trial_records(cfg):
     """One record for ``--input``, else one per seeded trial, in trial order."""
     draw, parse, record = _SUITES[cfg.mode]
@@ -432,7 +441,14 @@ def _trial_records(cfg):
         n = grid_order(cfg.input_text)  # refused above the cap before a row is parsed
         check_order(cfg.mode, n)
         cfg.check_ks(n)
-        yield record(cfg, 0, parse(cfg.input_text), None, 0)
+        matrix = parse(cfg.input_text)
+        if cfg.ks is not None and not any(1 <= k <= n for k in cfg.ks) and _is_singular_input(cfg, matrix):
+            ks = ",".join(map(str, cfg.ks))
+            raise ValueError(
+                f"k filter {ks} keeps only k = 0, which needs an invertible matrix, "
+                f"but the {cfg.mode} input matrix is singular"
+            )
+        yield record(cfg, 0, matrix, None, 0)
         return
     for index in range(cfg.trials):
         seed = derive_trial_seed(cfg.seed, index)

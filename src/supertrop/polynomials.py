@@ -1,14 +1,18 @@
 """Formal sparse polynomials over the n*n entry variables of a square matrix.
 
-A polynomial maps exponent grids (flattened to an n*n tuple) to non-eps
-scalar coefficients.  The module builds three distinguished polynomials for
-a given order n and level k:
+A polynomial maps exponent grids (flattened to an n*n tuple) to tags.
+Every coefficient the builders make has value 0, so a term keeps only the
+tag of its coefficient: 1 for ``0t``, a monomial that arises once, and 0
+for ``0g``, one that arises more than once (Izhakian and Rowen,
+"Supertropical algebra", 2010).  A sum of two terms on one grid is ``0g``;
+a product of two terms has tag ``t1 & t2``.  The module builds three
+distinguished polynomials for a given order n and level k:
 
 * ``alpha``: the k-th characteristic coefficient of the adjoint of the
   all-variable matrix;
 * ``beta``: the (k-1)-fold product of the variable determinant times the
   (n-k)-th characteristic coefficient of the variable matrix;
-* ``gamma``: the restriction of beta to its tangible-coefficient terms.
+* ``gamma``: the restriction of beta to its terms of tag 1.
 
 Every characteristic coefficient, and so every determinant, comes from one
 graded row DP: the kernel's row DP of ``det(A + lambda I)`` run with
@@ -40,7 +44,7 @@ from functools import lru_cache
 
 from .errors import InternalError, OrderTooLarge, Singular
 from .matrices import Matrix, _minor, _row_plan, _surpassing_sides
-from .scalars import EPS, Scalar, add, mul, ghost_surpasses, tangible
+from .scalars import EPS, Scalar, ghost_surpasses
 
 __all__ = [
     "SYMBOLIC_CAP",
@@ -71,32 +75,21 @@ SYMBOLIC_CAP = 4
 
 
 class Poly:
-    """Sparse polynomial: exponent grid -> coefficient (eps never stored).
+    """Sparse polynomial over the n*n entry variables of order ``n``.
 
-    :func:`evaluate` keeps a compiled form of the terms in a private slot,
-    so the terms of an evaluated polynomial must not change.
+    ``terms`` maps each exponent grid, an n*n tuple of non-negative ints, to
+    the tag of its coefficient: 1 for ``0t``, 0 for ``0g``.  A grid that is
+    absent has coefficient eps.  Both arguments are stored as given, without
+    a check or a copy.  :func:`evaluate` keeps a compiled form of the terms
+    in a private slot, so the terms of an evaluated polynomial must not
+    change.
     """
 
     __slots__ = ("n", "terms", "_compiled")
 
-    def __init__(self, n, terms=None):
-        if n < 1:
-            raise ValueError("polynomial order must be at least 1")
+    def __init__(self, n, terms):
         self.n = n
-        width = n * n
-        clean = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != width:
-                raise ValueError(f"exponent grid must have {width} entries, got {len(exps)}")
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
-                raise ValueError(f"exponents must be non-negative ints: {exps}")
-            if not isinstance(coeff, Scalar):
-                raise TypeError("coefficients must be Scalar")
-            if coeff.tag is None:
-                continue
-            clean[exps] = coeff
-        self.terms = clean
+        self.terms = terms
         self._compiled = None
 
     def __eq__(self, other):
@@ -118,30 +111,21 @@ class Poly:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
-def _raw(n, terms):
-    """Internal constructor bypassing validation (callers keep the invariants)."""
-    p = Poly.__new__(Poly)
-    p.n = n
-    p.terms = terms
-    p._compiled = None
-    return p
-
-
 def zero_poly(n: int) -> Poly:
-    return _raw(n, {})
+    return Poly(n, {})
 
 
 def unit_poly(n: int) -> Poly:
-    return _raw(n, {(0,) * (n * n): tangible(0)})
+    return Poly(n, {(0,) * (n * n): 1})
 
 
 def variable(n: int, i: int, j: int) -> Poly:
-    """The single-variable monomial ``v_ij`` (1-based) with unit coefficient."""
+    """The single-variable monomial ``v_ij`` (1-based) with coefficient ``0t``."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"variable indices out of range for order {n}: ({i}, {j})")
     exps = [0] * (n * n)
     exps[(i - 1) * n + (j - 1)] = 1
-    return _raw(n, {tuple(exps): tangible(0)})
+    return Poly(n, {tuple(exps): 1})
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -152,23 +136,20 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     if not q.terms:
         return p
     terms = dict(p.terms)
-    for exps, coeff in q.terms.items():
-        seen = terms.get(exps)
-        terms[exps] = coeff if seen is None else add(seen, coeff)
-    return _raw(p.n, terms)
+    for exps, tag in q.terms.items():
+        terms[exps] = 0 if exps in terms else tag
+    return Poly(p.n, terms)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     if p.n != q.n:
         raise ValueError(f"order mismatch: {p.n} vs {q.n}")
     terms = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
+    for e1, t1 in p.terms.items():
+        for e2, t2 in q.terms.items():
             exps = tuple(a + b for a, b in zip(e1, e2))
-            coeff = mul(c1, c2)
-            seen = terms.get(exps)
-            terms[exps] = coeff if seen is None else add(seen, coeff)
-    return _raw(p.n, terms)
+            terms[exps] = 0 if exps in terms else t1 & t2
+    return Poly(p.n, terms)
 
 
 def _poly_sums(cells, n):
@@ -266,13 +247,13 @@ def build_beta(n: int, k: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def build_gamma(n: int, k: int) -> Poly:
-    """The tangible-coefficient part of beta.  Cached; treat as read-only."""
+    """The terms of beta with tag 1.  Cached; treat as read-only."""
     beta = build_beta(n, k)
-    return _raw(n, {e: c for e, c in beta.terms.items() if c.is_tangible})
+    return Poly(n, {e: tag for e, tag in beta.terms.items() if tag})
 
 
 def _compiled(p):
-    """The terms of ``p`` as ``(coefficient, support, indices)``: ``support``
+    """The terms of ``p`` as ``(tag, support, indices)``: ``support``
     has bit ``i`` set for each flat entry index ``i`` with a non-zero
     exponent, and ``indices`` lists each such ``i`` as often as its exponent.
     Built on the first call and kept on ``p``."""
@@ -280,11 +261,11 @@ def _compiled(p):
     if compiled is None:
         compiled = p._compiled = tuple(
             (
-                coeff,
+                tag,
                 sum(1 << i for i, e in enumerate(exps) if e),
                 tuple(i for i, e in enumerate(exps) for _ in range(e)),
             )
-            for exps, coeff in p.terms.items()
+            for exps, tag in p.terms.items()
         )
     return compiled
 
@@ -293,8 +274,8 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
     """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps.
 
     A term is eps when its support meets an eps entry, and a ghost when it
-    meets a ghost entry or has a ghost coefficient; its value is the
-    coefficient's plus the entry values, each counted by its exponent.
+    meets a ghost entry or has tag 0; its value is the sum of the entry
+    values, each counted by its exponent (every coefficient has value 0).
     """
     if p.n != A.n:
         raise ValueError(f"order mismatch: polynomial {p.n} vs matrix {A.n}")
@@ -312,11 +293,12 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
     value_at = values.__getitem__
     best_value = None
     best_tag = None
-    for coeff, support, indices in _compiled(p):
+    for tag, support, indices in _compiled(p):
         if support & eps_mask:
             continue
-        value = sum(map(value_at, indices), coeff.value)
-        tag = 0 if support & ghost_mask else coeff.tag
+        value = sum(map(value_at, indices))
+        if support & ghost_mask:
+            tag = 0
         if best_value is None or value > best_value:
             best_value = value
             best_tag = tag
@@ -328,7 +310,8 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
 
 
 def format_poly(p: Poly) -> str:
-    """One term per line, ``coeff * v11^a11 ... vnn^ann``, canonical order.
+    """One term per line, ``0t * v11^a11 ... vnn^ann`` (``0g`` for tag 0),
+    in canonical order.
 
     Every variable is printed with its exponent (including 0) so the lines
     are fixed-width and diff-stable for golden files.
@@ -336,9 +319,9 @@ def format_poly(p: Poly) -> str:
     n = p.n
     names = [f"v{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     lines = []
-    for exps, coeff in p.sorted_terms():
+    for exps, tag in p.sorted_terms():
         grid = " ".join(f"{name}^{e}" for name, e in zip(names, exps))
-        lines.append(f"{coeff.token} * {grid}")
+        lines.append(f"{'0t' if tag else '0g'} * {grid}")
     return "\n".join(lines)
 
 
@@ -349,8 +332,8 @@ def format_poly(p: Poly) -> str:
 class Claim1Report(
     collections.namedtuple("Claim1Report", "n k alpha_terms beta_terms violations")
 ):
-    """Support comparison of alpha and beta: every grid with a tangible
-    coefficient on either side must appear (non-eps) on both sides."""
+    """Support comparison of alpha and beta: every grid with tag 1 on
+    either side must appear on both sides."""
 
     __slots__ = ()
 
@@ -401,8 +384,8 @@ def claim1_check(n: int, k: int) -> Claim1Report:
     _check_caps(n, k, 1)
     alpha = build_alpha(n, k)
     beta = build_beta(n, k)
-    tangible_support = {e for e, c in alpha.terms.items() if c.is_tangible}
-    tangible_support |= {e for e, c in beta.terms.items() if c.is_tangible}
+    tangible_support = {e for e, tag in alpha.terms.items() if tag}
+    tangible_support |= {e for e, tag in beta.terms.items() if tag}
     violations = tuple(
         sorted(e for e in tangible_support if e not in alpha.terms or e not in beta.terms)
     )

@@ -167,6 +167,32 @@ class TestMain:
         path.write_text("4\n" + "0t 1t 2t 3t\n" * 3 + "3t 2t 1t 0t\n")
         assert main(["--mode", "conjecture", "--allow-singular", "--input", str(path), "--k", "4"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, singular, invertible",
+        [
+            (["--mode", "conjecture", "--allow-singular"], "2\n1t 2t\n0t 1t\n", "2\n3t 0t\n1t 4t\n"),
+            (["--mode", "oracle"], "2\n1 2\n2 4\n", "2\n1 2\n3 4\n"),
+        ],
+        ids=["conjecture", "oracle"],
+    )
+    def test_k0_filter_on_a_singular_input_exits_2(self, argv, singular, invertible, tmp_path, capsys):
+        # k = 0 needs an invertible matrix, so on a singular one it checks nothing.
+        path = tmp_path / "m.txt"
+        path.write_text(singular)
+        assert main(argv + ["--input", str(path), "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k filter 0 keeps only k = 0, which needs an invertible matrix" in captured.err
+        assert main(argv + ["--input", str(path), "--k", "0,1"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["ok"]
+        path.write_text(invertible)
+        assert main(argv + ["--input", str(path), "--k", "0"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["ok"]
+        checked = row["results"] if "results" in row else row["jacobi"] + row["reciprocal"]
+        assert [r["k"] for r in checked] in ([0], [0, 0])
+
     def test_huge_order_range_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
         assert main(["--mode", "conjecture", "--n", "1..1000000000", "--trials", "1"]) == 2

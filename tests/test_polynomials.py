@@ -1,3 +1,4 @@
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +31,7 @@ from supertrop import (
     poly_mul,
     tangible,
 )
+from supertrop import polynomials
 from supertrop.matrices import adjoint, is_nonsingular
 from supertrop.polynomials import (
     Poly,
@@ -67,13 +69,13 @@ def alphabet_matrices(seed, count, n):
 
 
 def evaluate_by_terms(p, A):
-    """Reference for ``evaluate``: every term walks all n*n exponents."""
+    """Reference for ``evaluate``: every term walks all n*n exponents from the
+    value 0 of its coefficient and the coefficient's tag."""
     flat = [s for row in A.rows for s in row]
     best_value = None
     best_tag = None
-    for exps, coeff in p.terms.items():
-        value = coeff.value
-        tag = coeff.tag
+    for exps, tag in p.terms.items():
+        value = 0
         alive = True
         for idx, e in enumerate(exps):
             if not e:
@@ -126,19 +128,23 @@ class MuTuple:
         return tuple(exps)
 
 
+def tags_of(counts):
+    """The tag of each grid from the number of index tuples that reach it:
+    1 (``0t``) for a grid reached once, 0 (``0g``) for one reached more often."""
+    return {key: 1 if count == 1 else 0 for key, count in counts.items()}
+
+
 def beta_by_tuples(n, k):
     """Reference for ``build_beta``: ``det^(k-1) * chi_{n-k}`` of the variable
     matrix expanded directly, one unit term per index tuple."""
-    terms = {}
+    counts = collections.Counter()
     all_perms = list(itertools.permutations(range(n)))
     subsets = list(itertools.combinations(range(n), n - k))
     for sigmas in itertools.product(all_perms, repeat=k - 1):
         for j_set in subsets:
             for tau in itertools.permutations(j_set):
-                key = MuTuple(sigmas, j_set, tau).exponent_key(n)
-                seen = terms.get(key)
-                terms[key] = tangible(0) if seen is None else add(seen, tangible(0))
-    return Poly(n, terms)
+                counts[MuTuple(sigmas, j_set, tau).exponent_key(n)] += 1
+    return Poly(n, tags_of(counts))
 
 
 def alpha_by_permutations(n, k):
@@ -150,7 +156,7 @@ def alpha_by_permutations(n, k):
     ``a``; every ``a`` then takes one bijection of the other rows onto the
     other columns.
     """
-    terms = {}
+    counts = collections.Counter()
     for subset in itertools.combinations(range(n), k):
         for tau in itertools.permutations(subset):
             bijections = []
@@ -163,10 +169,8 @@ def alpha_by_permutations(n, k):
                 for pairs in choice:
                     for r, c in pairs:
                         exps[r * n + c] += 1
-                key = tuple(exps)
-                seen = terms.get(key)
-                terms[key] = tangible(0) if seen is None else add(seen, tangible(0))
-    return Poly(n, terms)
+                counts[tuple(exps)] += 1
+    return Poly(n, tags_of(counts))
 
 
 #: Term counts ``(alpha, beta, gamma)`` per order and k = 1..n.
@@ -181,16 +185,19 @@ TERM_COUNTS = {
 class TestPolyArithmetic:
     def test_add_merges_to_ghost(self):
         e1 = exps(2, (1, 1, 1))
-        p = Poly(2, {e1: tangible(0)})
-        assert poly_add(p, p).terms == {e1: ghost(0)}
+        p = Poly(2, {e1: 1})
+        assert poly_add(p, p).terms == {e1: 0}
+        assert poly_add(poly_add(p, p), p).terms == {e1: 0}
 
     def test_mul_single_terms(self):
-        p = Poly(2, {exps(2, (1, 1, 1)): tangible(0)})
-        q = Poly(2, {exps(2, (2, 2, 1)): tangible(0)})
-        assert poly_mul(p, q).terms == {exps(2, (1, 1, 1), (2, 2, 1)): tangible(0)}
+        p = Poly(2, {exps(2, (1, 1, 1)): 1})
+        q = Poly(2, {exps(2, (2, 2, 1)): 1})
+        assert poly_mul(p, q).terms == {exps(2, (1, 1, 1), (2, 2, 1)): 1}
+        g = Poly(2, {exps(2, (2, 2, 1)): 0})
+        assert poly_mul(p, g).terms == {exps(2, (1, 1, 1), (2, 2, 1)): 0}
 
     def test_empty_poly_absorbs(self):
-        p = Poly(2, {exps(2, (1, 1, 1)): tangible(0)})
+        p = Poly(2, {exps(2, (1, 1, 1)): 1})
         assert poly_mul(p, zero_poly(2)).terms == {}
         assert poly_add(p, zero_poly(2)) == p
 
@@ -202,13 +209,9 @@ class TestPolyArithmetic:
         with pytest.raises(ValueError):
             evaluate(unit_poly(3), A)
 
-    def test_eps_coefficients_dropped(self):
-        p = Poly(2, {exps(2, (1, 1, 1)): EPS})
-        assert p.terms == {}
-
     def test_variable_indexing(self):
         v = variable(2, 1, 2)
-        assert v.terms == {exps(2, (1, 2, 1)): tangible(0)}
+        assert v.terms == {exps(2, (1, 2, 1)): 1}
         with pytest.raises(IndexError):
             variable(2, 0, 1)
         with pytest.raises(IndexError):
@@ -219,13 +222,13 @@ class TestBuilders:
     def test_alpha_examples(self):
         a21 = build_alpha(2, 1)
         assert a21.terms == {
-            exps(2, (1, 1, 1)): tangible(0),
-            exps(2, (2, 2, 1)): tangible(0),
+            exps(2, (1, 1, 1)): 1,
+            exps(2, (2, 2, 1)): 1,
         }
         a22 = build_alpha(2, 2)
         assert a22.terms == {
-            exps(2, (1, 1, 1), (2, 2, 1)): tangible(0),
-            exps(2, (1, 2, 1), (2, 1, 1)): tangible(0),
+            exps(2, (1, 1, 1), (2, 2, 1)): 1,
+            exps(2, (1, 2, 1), (2, 1, 1)): 1,
         }
         assert build_alpha(3, 0) == unit_poly(3)
 
@@ -255,9 +258,9 @@ class TestBuilders:
         for n in (2, 3, 4):
             for k in range(1, n + 1):
                 for p in (build_alpha(n, k), build_beta(n, k)):
-                    assert all(c in (tangible(0), ghost(0)) for c in p.terms.values())
+                    assert set(p.terms.values()) <= {0, 1}
                 gamma = build_gamma(n, k)
-                assert all(c == tangible(0) for c in gamma.terms.values())
+                assert set(gamma.terms.values()) == {1}
                 assert set(gamma.terms) <= set(build_beta(n, k).terms)
 
     def test_mu_tuple_exponent_key(self):
@@ -286,6 +289,26 @@ class TestBuilders:
 
     def test_builders_are_cached(self):
         assert build_alpha(3, 2) is build_alpha(3, 2)
+
+    def test_builders_make_no_scalars(self, monkeypatch):
+        # Every coefficient is 0t or 0g, so a term is its tag alone.  Built
+        # from cold caches, alpha, beta and gamma construct no Scalar.
+        for cached in (build_alpha, build_beta, build_gamma, polynomials._variable_sums,
+                       polynomials._adjoint_sums):
+            cached.cache_clear()
+        built = []
+        real = Scalar.__init__
+        monkeypatch.setattr(Scalar, "__init__", lambda s, value, tag: built.append(1) or real(s, value, tag))
+        polys = []
+        for n in range(1, 5):
+            polys += [(build_alpha(n, k), False) for k in range(n + 1)]
+            polys += [(build(n, k), build is build_gamma)
+                      for build in (build_beta, build_gamma) for k in range(1, n + 1)]
+        assert built == []
+        for p, is_gamma in polys:
+            tags = list(p.terms.values())
+            assert set(map(type, tags)) == {int}
+            assert set(tags) == {1} if is_gamma else set(tags) <= {0, 1}
 
 
 class TestEvaluate:
@@ -323,15 +346,14 @@ class TestEvaluate:
                     assert evaluate(p, M) == evaluate_by_terms(p, M), (p, M)
 
     def test_hand_built_coefficients(self):
-        # Ghost and non-zero coefficients, which the builders never make,
-        # on random exponent grids with exponents up to 2.
+        # Random tags, ghost ones included, on random exponent grids with
+        # exponents up to 2, which the builders never make.
         rng = Xorshift64Star(77)
-        coeffs = TIE_ALPHABET[1:] + (tangible(-2), ghost(Fraction(3, 2)))
         for n in (1, 2, 3):
             matrices = alphabet_matrices(900 + n, 30, n)
             for _ in range(40):
                 terms = {
-                    tuple(rng.next_below(3) for _ in range(n * n)): coeffs[rng.next_below(len(coeffs))]
+                    tuple(rng.next_below(3) for _ in range(n * n)): rng.next_below(2)
                     for _ in range(1 + rng.next_below(6))
                 }
                 p = Poly(n, terms)
@@ -340,8 +362,8 @@ class TestEvaluate:
 
     def test_compiled_form_is_per_polynomial(self):
         M = parse_matrix("2\n1t 2g\ne 0t\n")
-        p = Poly(2, {exps(2, (1, 1, 2)): tangible(0)})
-        q = Poly(2, {exps(2, (1, 2, 1)): tangible(0)})
+        p = Poly(2, {exps(2, (1, 1, 2)): 1})
+        q = Poly(2, {exps(2, (1, 2, 1)): 1})
         assert (evaluate(p, M), evaluate(q, M)) == (tangible(2), ghost(2))
         assert _compiled(p) is _compiled(p) and _compiled(p) != _compiled(q)
         assert p == Poly(2, dict(p.terms)) and hash(p) == hash(Poly(2, dict(p.terms)))
