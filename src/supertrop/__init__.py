@@ -5,13 +5,9 @@ from .scalars import (
     EPS,
     Scalar,
     add,
-    format_scalar,
     ghost,
     ghost_surpasses,
-    is_invertible,
     mul,
-    nu,
-    nu_equiv,
     parse_scalar,
     pow,
     tangible,
@@ -26,7 +22,6 @@ from .matrices import (
     cofactor,
     conjecture_check,
     det,
-    det_assignment,
     det_brute,
     det_power,
     format_matrix,
@@ -44,7 +39,6 @@ from .polynomials import (
     claim3_check,
     decomposition_checks,
     evaluate,
-    format_poly,
     poly_add,
     poly_mul,
 )

@@ -35,11 +35,8 @@ __all__ = [
     "rat_det",
     "rat_adjugate",
     "rat_inverse",
-    "rat_identity",
-    "rat_mat_mul",
     "minor_sums",
     "char_coeffs",
-    "charpoly_expand",
     "OracleReport",
     "oracle_report",
     "jacobi_check",
@@ -61,18 +58,6 @@ def as_rational_matrix(rows):
         if len(row) != n:
             raise ValueError("matrix must be square")
     return out
-
-
-def rat_identity(n: int):
-    return tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-
-
-def rat_mat_mul(X, Y):
-    n = len(X)
-    return tuple(
-        tuple(sum((X[i][k] * Y[k][j] for k in range(n)), _ZERO) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _int_rows(X):
@@ -219,49 +204,6 @@ def char_coeffs(X):
 
 def _signed(sums):
     return [(-1) ** k * e for k, e in enumerate(sums)]
-
-
-def charpoly_expand(X):
-    """Characteristic coefficients by direct permutation expansion.
-
-    Independent of :func:`minor_sums` and of the Bareiss determinant: each
-    permutation contributes a signed product of linear polynomials in lambda.
-    Costs n! poly products, so keep the order small; it exists to pin the
-    sign convention.
-    """
-    n = len(X)
-    total = [_ZERO] * (n + 1)  # total[d] = coefficient of lambda^d
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = [Fraction(sign)]
-        for i in range(n):
-            entry = [-X[i][perm[i]]]
-            if perm[i] == i:
-                entry.append(_ONE)
-            prod = _poly_mul(prod, entry)
-        for d, c in enumerate(prod):
-            total[d] += c
-    return [total[n - k] for k in range(n + 1)]
-
-
-def _perm_sign(perm):
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def _poly_mul(p, q):
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
 
 
 # Report records across the package are ``collections.namedtuple`` classes,

@@ -36,7 +36,6 @@ from .matrices import (
     conjecture_check,
     det,
     det_brute,
-    det_assignment,
     is_nonsingular,
     parse_matrix,
 )
@@ -148,6 +147,8 @@ class TrialConfig:
         check_order(self.mode, max(self.n_values))
         if self.input_text is None:
             self.check_ks(max(self.n_values))
+            if self.mode == "oracle" or self.allow_singular:  # allow_singular implies conjecture
+                self.check_k0(max(self.n_values), f"{self.mode} mode can draw a singular one")
         if self.engine in ("brute", "both") and max(self.n_values) > BRUTE_CAP:
             raise ValueError(
                 f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), "
@@ -166,6 +167,14 @@ class TrialConfig:
         if self.ks is not None and lo is not None and not any(lo <= k <= top for k in self.ks):
             ks = ",".join(map(str, self.ks))
             raise ValueError(f"k filter {ks} keeps no k in {lo}..{top} for {self.mode} mode")
+
+    def check_k0(self, top: int, singular: str):
+        """Refuse a ``ks`` filter that keeps no k in ``1..top``, only k = 0,
+        where a matrix may be singular (``singular`` says why): k = 0 needs
+        an invertible matrix, so on a singular one nothing would be checked."""
+        if self.ks is not None and not any(1 <= k <= top for k in self.ks):
+            ks = ",".join(map(str, self.ks))
+            raise ValueError(f"k filter {ks} keeps only k = 0, which needs an invertible matrix, but {singular}")
 
     def k_values(self, lo: int, n: int) -> list:
         """The k in ``lo..n`` that the ``ks`` filter keeps."""
@@ -299,7 +308,7 @@ def _conjecture_record(cfg, index, A, seed, rejections):
 
 def _detcross_record(cfg, index, A, seed, rejections):
     brute = det_brute(A, cap=max(A.n, 8))
-    assignment = det_assignment(A)
+    assignment = det(A, "assignment")
     return {
         "trial": index,
         "seed": seed,
@@ -392,7 +401,7 @@ def _bench_rows(cfg):
         for engine, fn in (
             ("brute", lambda: det_brute(A, cap=n)),
             # Fresh matrices: no kept assignment solve or prefix DP.
-            ("assignment", lambda: det_assignment(_trusted(A.rows))),
+            ("assignment", lambda: det(_trusted(A.rows), "assignment")),
             ("kernel", lambda: det(_trusted(A.rows))),
         ):
             start = time.perf_counter()
@@ -442,12 +451,8 @@ def _trial_records(cfg):
         check_order(cfg.mode, n)
         cfg.check_ks(n)
         matrix = parse(cfg.input_text)
-        if cfg.ks is not None and not any(1 <= k <= n for k in cfg.ks) and _is_singular_input(cfg, matrix):
-            ks = ",".join(map(str, cfg.ks))
-            raise ValueError(
-                f"k filter {ks} keeps only k = 0, which needs an invertible matrix, "
-                f"but the {cfg.mode} input matrix is singular"
-            )
+        if cfg.ks is not None and _is_singular_input(cfg, matrix):
+            cfg.check_k0(n, f"the {cfg.mode} input matrix is singular")
         yield record(cfg, 0, matrix, None, 0)
         return
     for index in range(cfg.trials):

@@ -14,7 +14,7 @@ Three determinant engines with an identical output contract:
 * the assignment engine solves the max-weight perfect-matching problem on
   the value grid with exact arithmetic, one shortest augmenting path at a
   time against dual-feasible potentials.  Three drivers share that step:
-  ``det_assignment`` augments every row from the empty matching (O(n^3));
+  the determinant augments every row from the empty matching (O(n^3));
   the principal minors walk the subset lattice, each minor one augmentation
   (O(m^2) at order m) from the minor one index smaller; the cofactors start
   from the whole matrix's optimum, each at most one augmentation (O(n^2)).
@@ -63,7 +63,6 @@ __all__ = [
     "ENGINES",
     "det",
     "det_brute",
-    "det_assignment",
     "det_power",
     "cofactor",
     "adjoint",
@@ -778,19 +777,6 @@ def det_brute(A: Matrix, cap: int = BRUTE_CAP) -> Scalar:
     """Reference determinant: semiring sum over all permutation products,
     refused above order ``cap``."""
     return _scalar(_brute_det(_raw(A.rows), cap))
-
-
-def det_assignment(A: Matrix) -> Scalar:
-    """Assignment-problem determinant; same output contract as :func:`det_brute`.
-
-    One exact assignment solve, an augmenting path per row from the empty
-    matching, gives the optimal value and permutation; the determinant is a
-    ghost when a second permutation attains that value (a cycle of tight
-    edges against the final potentials), else it carries the tags along the
-    optimum.  O(n^3) for the solve, O(n^2) for the rest.  The solve is kept
-    on ``A``: the assignment engine's cofactors start from it.
-    """
-    return _scalar(_assignment_table(A)[3])
 
 
 def det(A: Matrix, engine: str = "auto") -> Scalar:

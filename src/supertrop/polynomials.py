@@ -33,8 +33,8 @@ alpha and beta for every k from one kernel pass over ``A`` and evaluate only
 gamma, compiled once per (n, k); ``engine="both"`` also evaluates alpha and beta
 symbolically and raises :class:`InternalError` on any disagreement.
 
-Variable indices in the public helpers are 1-based (``v11`` is the top-left
-entry), matching the printed form ``v{row}{col}``.
+Variable indices in the public helpers are 1-based: ``variable(n, 1, 1)`` is
+``v11``, the top-left entry.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "build_beta",
     "build_gamma",
     "evaluate",
-    "format_poly",
     "Claim1Report",
     "Claim2Report",
     "Claim3Report",
@@ -105,10 +104,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly(n={self.n}, terms={len(self.terms)})"
-
-    def sorted_terms(self):
-        """Terms in canonical order: by total degree, then lexicographically."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
 def zero_poly(n: int) -> Poly:
@@ -307,22 +302,6 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
     if best_value is None:
         return EPS
     return Scalar(best_value, best_tag)
-
-
-def format_poly(p: Poly) -> str:
-    """One term per line, ``0t * v11^a11 ... vnn^ann`` (``0g`` for tag 0),
-    in canonical order.
-
-    Every variable is printed with its exponent (including 0) so the lines
-    are fixed-width and diff-stable for golden files.
-    """
-    n = p.n
-    names = [f"v{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    lines = []
-    for exps, tag in p.sorted_terms():
-        grid = " ".join(f"{name}^{e}" for name, e in zip(names, exps))
-        lines.append(f"{'0t' if tag else '0g'} * {grid}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,7 @@ __all__ = [
     "add",
     "mul",
     "pow",
-    "nu",
-    "nu_equiv",
     "ghost_surpasses",
-    "is_invertible",
     "tangible",
     "ghost",
     "parse_scalar",
@@ -35,7 +32,6 @@ __all__ = [
     "parse_int",
     "parse_grid",
     "grid_order",
-    "format_scalar",
 ]
 
 _TANGIBLE = 1
@@ -62,8 +58,10 @@ class Scalar:
     """One semiring element.
 
     ``tag`` is 1 for tangible, 0 for ghost, ``None`` for eps (in which case
-    ``value`` is ``None`` too).  Instances are immutable by convention and
-    hashable; equality is structural (tag and exact value).
+    ``value`` is ``None`` too).  ``value`` is the value map nu, which forgets
+    the tag, and the tangibles are exactly the invertible elements.
+    Instances are immutable by convention and hashable; equality is
+    structural (tag and exact value).
     """
 
     __slots__ = ("value", "tag")
@@ -169,15 +167,6 @@ def pow(a: Scalar, k: int) -> Scalar:
     return Scalar(a.value * k, _TANGIBLE)
 
 
-def nu(a: Scalar):
-    """Forget the tag: the underlying rational, or ``None`` as the eps marker."""
-    return a.value
-
-
-def nu_equiv(a: Scalar, b: Scalar) -> bool:
-    return a.value == b.value
-
-
 def ghost_surpasses(c: Scalar, d: Scalar) -> bool:
     """True iff ``c = d + g`` for some ghost or absent ``g``.
 
@@ -191,15 +180,6 @@ def ghost_surpasses(c: Scalar, d: Scalar) -> bool:
     if d.tag is None:
         return True
     return c.value >= d.value
-
-
-def is_invertible(a: Scalar) -> bool:
-    """True iff some ``x`` satisfies ``a * x = 0t``; exactly the tangibles."""
-    return a.tag == _TANGIBLE
-
-
-def format_scalar(a: Scalar) -> str:
-    return a.token
 
 
 def parse_rational(text: str) -> Fraction:
@@ -221,7 +201,7 @@ def parse_int(text: str) -> int:
 
 
 def parse_scalar(token: str) -> Scalar:
-    """Inverse of :func:`format_scalar`; raises ValueError on malformed input."""
+    """Inverse of :attr:`Scalar.token`; raises ValueError on malformed input."""
     token = token.strip()
     if token == "e":
         return EPS

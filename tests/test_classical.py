@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,20 +6,81 @@ import pytest
 from supertrop.classical import (
     as_rational_matrix,
     char_coeffs,
-    charpoly_expand,
     jacobi_check,
     minor_sums,
     oracle_report,
     parse_rational_matrix,
     rat_adjugate,
     rat_det,
-    rat_identity,
     rat_inverse,
-    rat_mat_mul,
     reciprocal_check,
 )
 from supertrop.errors import Singular
 from supertrop.rng import Xorshift64Star
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# Reference code: an identity, a product and a characteristic polynomial by
+# direct permutation expansion, independent of the Bareiss elimination under
+# test.
+
+
+def rat_identity(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+def rat_mat_mul(X, Y):
+    n = len(X)
+    return tuple(
+        tuple(sum((X[i][k] * Y[k][j] for k in range(n)), ZERO) for j in range(n))
+        for i in range(n)
+    )
+
+
+def charpoly_expand(X):
+    """Characteristic coefficients by direct permutation expansion.
+
+    Independent of ``minor_sums`` and of the Bareiss determinant: each
+    permutation contributes a signed product of linear polynomials in lambda.
+    Costs n! poly products, so keep the order small; it exists to pin the
+    sign convention.
+    """
+    n = len(X)
+    total = [ZERO] * (n + 1)  # total[d] = coefficient of lambda^d
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        prod = [Fraction(sign)]
+        for i in range(n):
+            entry = [-X[i][perm[i]]]
+            if perm[i] == i:
+                entry.append(ONE)
+            prod = _poly_mul(prod, entry)
+        for d, c in enumerate(prod):
+            total[d] += c
+    return [total[n - k] for k in range(n + 1)]
+
+
+def _perm_sign(perm):
+    inversions = sum(
+        1
+        for i in range(len(perm))
+        for j in range(i + 1, len(perm))
+        if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def _poly_mul(p, q):
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
 
 X = as_rational_matrix([[3, 0], [1, 4]])
 

@@ -46,6 +46,17 @@ class TestParsers:
         assert parse_ks("3,0,2,2") == (0, 2, 3)
 
 
+def verdicts(record):
+    """The verdicts a record carries; one that carries none checks nothing."""
+    if record.get("type") == "symbolic":
+        return [record["claim1_ok"], record["claim2_ok"]]
+    if "jacobi" in record:
+        return [r["ok"] for r in record["jacobi"] + (record["reciprocal"] or [])]
+    if "brute" in record:
+        return [record["ok"]]
+    return [r["holds"] for r in record["results"]]
+
+
 class TestMain:
     def test_happy_path(self, capsys):
         code = main(["--mode", "conjecture", "--n", "1..2", "--trials", "4", "--seed", "1"])
@@ -192,6 +203,57 @@ class TestMain:
         assert row["ok"]
         checked = row["results"] if "results" in row else row["jacobi"] + row["reciprocal"]
         assert [r["k"] for r in checked] in ([0], [0, 0])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "conjecture", "--allow-singular", "--n", "3", "--trials", "20", "--bound", "1",
+             "--probs", "40/100,50/100,10/100"],
+            ["--mode", "oracle", "--n", "2", "--trials", "50", "--bound", "1"],
+        ],
+        ids=["conjecture", "oracle"],
+    )
+    def test_k0_filter_on_a_seeded_run_that_can_draw_a_singular_matrix_exits_2(self, argv, capsys):
+        # At seed 42 these runs draw 19 and 24 singular matrices, on which k = 0 checks nothing.
+        assert main(argv + ["--seed", "42", "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k filter 0 keeps only k = 0, which needs an invertible matrix" in captured.err
+        assert main(argv + ["--seed", "42", "--k", "0,1"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == int(argv[argv.index("--trials") + 1]) and all(verdicts(r) for r in rows)
+
+    def test_k0_filter_on_a_non_singular_seeded_run(self, capsys):
+        # Without --allow-singular every conjecture matrix is invertible.
+        assert main(["--mode", "conjecture", "--n", "3", "--trials", "5", "--seed", "42", "--k", "0"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [[c["k"] for c in r["results"]] for r in rows] == [[0]] * 5
+
+    def test_no_passing_record_without_a_verdict(self, capsys):
+        # Over every verification mode and a grid of --k filters, a run is
+        # refused before any record or each record it passes checks something.
+        # bench writes timings, not verdicts.
+        modes = (["conjecture"], ["conjecture", "--allow-singular"], ["claims"], ["oracle"], ["detcross"])
+        filters = (None, "0", "1", "0,1", "2", "0,2", "3", "0,3", "1,3")
+        refused = singular = 0
+        for mode in modes:
+            for n in ("1", "2", "3"):
+                for ks in filters:
+                    argv = ["--mode", *mode, "--n", n, "--trials", "12", "--bound", "1",
+                            "--probs", "40/100,50/100,10/100", "--seed", "42"]
+                    code = main(argv + ([] if ks is None else ["--k", ks]))
+                    captured = capsys.readouterr()
+                    rows = [json.loads(line) for line in captured.out.splitlines()]
+                    if code == 2:
+                        assert rows == [], (argv, ks)
+                        refused += 1
+                        continue
+                    assert code == 0, (argv, ks, captured.err)
+                    for r in rows:
+                        assert not r["ok"] or verdicts(r), (argv, ks, r)
+                        singular += r.get("invertible") is False or r.get("det", "t")[-1] != "t"
+        # The grid reaches singular matrices and refused filters alike.
+        assert singular > 0 and refused > 0
 
     def test_huge_order_range_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()

@@ -15,13 +15,11 @@ from supertrop import (
     cofactor,
     conjecture_check,
     det,
-    det_assignment,
     det_brute,
     det_power,
     format_matrix,
     ghost,
     ghost_surpasses,
-    is_invertible,
     is_nonsingular,
     mul,
     parse_matrix,
@@ -45,7 +43,7 @@ def assert_engines_agree(M):
     """The kernel's det, batched adjoint and char_poly equal the per-minor
     brute-force results exactly, and the assignment engine's drivers do too."""
     d = det_brute(M)
-    assert det(M) == d == det_assignment(M), M
+    assert det(M) == d == det(M, "assignment"), M
     assert adjoint(M) == adjoint(M, engine="brute") == adjoint(M, engine="assignment"), M
     assert char_poly(M) == char_poly(M, engine="brute") == char_poly(M, engine="assignment"), M
 
@@ -112,21 +110,21 @@ def count_searches(monkeypatch):
 class TestDeterminants:
     def test_examples(self):
         assert det_brute(A) == tangible(7)
-        assert det_assignment(A) == tangible(7)
+        assert det(A, "assignment") == tangible(7)
         assert det_brute(TIED) == ghost(2)
-        assert det_assignment(parse_matrix("2\n3g e\ne 4t\n")) == ghost(7)
-        assert det_assignment(parse_matrix("2\ne e\ne 0t\n")) == EPS
+        assert det(parse_matrix("2\n3g e\ne 4t\n"), "assignment") == ghost(7)
+        assert det(parse_matrix("2\ne e\ne 0t\n"), "assignment") == EPS
 
     def test_identity(self):
         for n in range(1, 7):
             assert det_brute(Matrix.identity(n)) == tangible(0)
-            assert det_assignment(Matrix.identity(n)) == tangible(0)
+            assert det(Matrix.identity(n), "assignment") == tangible(0)
 
     def test_all_eps(self):
         for n in (1, 2, 3):
             M = Matrix([[EPS] * n for _ in range(n)])
             assert det_brute(M) == EPS
-            assert det_assignment(M) == EPS
+            assert det(M, "assignment") == EPS
 
     def test_brute_cap(self):
         M = Matrix.identity(9)
@@ -205,7 +203,7 @@ class TestDeterminants:
     def test_fractional_values(self):
         M = parse_matrix("2\n1/2t 0t\n1t 1/3t\n")
         expected = add(tangible(Fraction(5, 6)), tangible(1))
-        assert det_brute(M) == expected == det_assignment(M)
+        assert det_brute(M) == expected == det(M, "assignment")
 
 
 class TestAssignmentCertificate:
@@ -237,18 +235,18 @@ class TestAssignmentCertificate:
                     seed = 5000 + 100 * b + 10 * p + n
                     for M in seeded_matrices(seed, 40 if n <= 5 else 15, n, bound, probs):
                         d = det_brute(M)
-                        assert det_assignment(M) == d, M
+                        assert det(M, "assignment") == d, M
                         outcomes.add("eps" if d.tag is None else d.is_tangible)
         assert outcomes == {"eps", True, False}
 
     def test_rival_one_long_cycle_away(self):
         assert det_brute(self.FIVE_CYCLE) == ghost(0)
-        assert det_assignment(self.FIVE_CYCLE) == ghost(0)
+        assert det(self.FIVE_CYCLE, "assignment") == ghost(0)
         assert det(self.FIVE_CYCLE) == ghost(0)
 
     def test_rival_through_an_eps_edge_does_not_count(self):
         assert det_brute(self.EPS_RIVAL) == tangible(0)
-        assert det_assignment(self.EPS_RIVAL) == tangible(0)
+        assert det(self.EPS_RIVAL, "assignment") == tangible(0)
 
     def test_every_optimum_is_tight(self):
         for n in range(1, 6):
@@ -269,9 +267,9 @@ class TestAssignmentCertificate:
         outcomes = set()
         for n in range(1, 7):
             for M in seeded_matrices(7000 + n, 20, n, 1, sparse):
-                d = det_assignment(M)
+                d = det(M, "assignment")
                 assert len(calls) == 1 and sizes == [n] * n, M
-                assert det_assignment(M) == d and det(M, "assignment") == d, M
+                assert det(M, "assignment") == d, M
                 assert len(calls) == 1 and sizes == [n] * n, M
                 calls.clear()
                 sizes.clear()
@@ -552,7 +550,7 @@ class TestInvariances:
                 rows[r] = [mul(c, s) for s in rows[r]]
                 scaled = Matrix(rows)
                 assert det_brute(scaled) == mul(c, det_brute(M))
-                assert det_assignment(scaled) == mul(c, det_assignment(M))
+                assert det(scaled, "assignment") == mul(c, det(M, "assignment"))
 
 
 class TestCofactorAdjoint:
@@ -605,7 +603,7 @@ class TestNonsingularPseudoinverse:
 
     def test_nonsingular_iff_invertible_det(self):
         for M in seeded_matrices(83, 40, 3, bound=3):
-            assert is_nonsingular(M) == is_invertible(det_brute(M))
+            assert is_nonsingular(M) == det_brute(M).is_tangible
 
     def test_det_power(self):
         assert det_power(EPS, 0) == tangible(0)

@@ -23,7 +23,6 @@ from supertrop import (
     det,
     det_power,
     evaluate,
-    format_poly,
     ghost,
     mul,
     parse_matrix,
@@ -46,6 +45,27 @@ from supertrop.harness import random_matrix
 from supertrop.rng import Xorshift64Star
 
 A = parse_matrix("2\n3t 0t\n1t 4t\n")
+
+
+def sorted_terms(p):
+    """Terms in canonical order: by total degree, then lexicographically."""
+    return sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def format_poly(p):
+    """One term per line, ``0t * v11^a11 ... vnn^ann`` (``0g`` for tag 0),
+    in canonical order.
+
+    Every variable is printed with its exponent (including 0) so the lines
+    are fixed-width and diff-stable for golden strings.
+    """
+    n = p.n
+    names = [f"v{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    lines = []
+    for exps, tag in sorted_terms(p):
+        grid = " ".join(f"{name}^{e}" for name, e in zip(names, exps))
+        lines.append(f"{'0t' if tag else '0g'} * {grid}")
+    return "\n".join(lines)
 
 
 def seeded_matrices(seed, count, n, bound=4):
@@ -449,5 +469,5 @@ class TestSerialization:
 
     def test_canonical_order_is_graded_lex(self):
         p = build_alpha(3, 2)
-        keys = [e for e, _ in p.sorted_terms()]
+        keys = [e for e, _ in sorted_terms(p)]
         assert keys == sorted(keys, key=lambda e: (sum(e), e))
