@@ -11,22 +11,11 @@ Examples::
 
 ``--trials`` is the total trial count; trial i uses the i-th order of the
 ``--n`` range, round-robin, so ``--n 1..7 --trials 3500`` runs 500 trials
-per order.  ``--bound`` is at most ``2**63 - 1`` and the ``--probs`` values
-(``-?digits(/digits)?`` or ``digits.digits``) need a common denominator of at
-most ``2**64``; anything else exits 2.  So does an order above the mode's cap
-in ``harness.ORDER_CAPS``, from ``--n`` or ``--input``, an ``--n`` order above
-``BRUTE_CAP`` under ``--engine brute`` or ``both``, an integer flag value
-(or ``--input`` order line) that is not ASCII ``-?digits``, and a ``--k``
-filter that keeps no k of the mode's per-k checks (``1..n`` in ``claims``,
-``0..n`` in ``conjecture`` and ``oracle``) at any order of the run, or only
-k = 0 on a singular ``--input`` matrix (k = 0 needs an invertible one).  ``--k``
-in ``detcross`` or ``bench`` (no per-k checks), ``--allow-singular``
-outside ``conjecture`` and ``--engine`` other than ``auto`` outside
-``conjecture`` and ``claims`` (``detcross`` and ``bench`` run every engine,
-``oracle`` none) exit 2 as well, and so do a ``--seed`` outside
-``0..2**64-1``, a tangible probability of 0 where the mode needs
-non-singular draws, and a run whose stdout is closed before it ends
-(``| head``), without a traceback.
+per order.  The rules of each mode (order cap, k range, the flags it takes,
+whether its matrices may be singular) are the table "Mode rules" in
+README.md, read from ``harness.MODE_TABLE``; a run that breaks one exits 2
+before any record, as do a malformed flag value and a run whose stdout is
+closed before it ends (``| head``), without a traceback.
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .harness import DEFAULT_PROBS, MODES, ORDER_CAPS, TrialConfig, check_order, run
+from .harness import DEFAULT_PROBS, MODE_TABLE, MODES, ORDER_CAPS, TrialConfig, check_order, run
 from .errors import InternalError, RejectionLimit
 from .matrices import ENGINES
 from .scalars import parse_int, parse_rational
@@ -84,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded verification suites for exact supertropical linear algebra.",
     )
     parser.add_argument("--mode", required=True, choices=MODES)
-    parser.add_argument("--n", default="3", metavar="N|A..B",
-                        help="matrix order, single value or inclusive range (default 3)")
+    parser.add_argument("--n", default=None, metavar="N|A..B",
+                        help="matrix order, single value or inclusive range (default 3); "
+                             "an --input run takes the file's order")
     parser.add_argument("--k", default=None, metavar="K[,K...]",
                         help="restrict per-k checks to these k values")
     parser.add_argument("--trials", type=parse_int, default=None,
@@ -110,18 +100,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> TrialConfig:
-    trials = args.trials
-    if trials is None:
-        trials = 3 if args.mode == "bench" else 100
     input_text = None
     if args.input is not None:
+        if args.n is not None:
+            raise ValueError("an --input run takes its order from the file, so it takes no --n")
         with open(args.input, "r", encoding="utf-8") as handle:
             input_text = handle.read()
-    check_order(args.mode, _n_ends(args.n)[1])  # the mode's cap, before any tuple
+    n_text = "3" if args.n is None else args.n
+    check_order(args.mode, _n_ends(n_text)[1])  # the mode's cap, before any tuple
     cfg = TrialConfig(
         mode=args.mode,
-        n_values=parse_n_range(args.n),
-        trials=trials,
+        n_values=parse_n_range(n_text),
+        trials=MODE_TABLE[args.mode].trials if args.trials is None else args.trials,
         seed=args.seed,
         bound=args.bound,
         probs=parse_probs(args.probs) if args.probs else DEFAULT_PROBS,

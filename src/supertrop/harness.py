@@ -8,8 +8,12 @@ streams (bench rows carry timings and are exempt).  For that reason the
 per-trial records go to ``out`` while the final summary (which carries
 wall-clock time) goes to the diagnostics stream ``err``.
 
-Each verification mode is one table entry of three functions (draw a matrix,
-parse an ``--input`` text, build the record) used by one runner loop.
+Each mode is one row of :data:`MODE_TABLE`: its order cap, the k it checks,
+the flags it takes, whether its matrices may be singular, its draw, parse
+and record functions, the rows it writes before its trials and its default
+trial count.  Every per-mode rule reads the row, and the per-order rules
+run once for each order of the run, an ``--input`` file's order line
+included.
 
 Exit codes: 0 all checks passed, 1 at least one verification failure,
 2 configuration or input errors, 3 an internal inconsistency (decided by
@@ -21,6 +25,7 @@ common denominator, so entry draws are platform-independent integers.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import time
@@ -44,6 +49,7 @@ from .rng import MASK64, Xorshift64Star, derive_trial_seed, rejection_limit
 from .scalars import EPS, Scalar, grid_order
 
 __all__ = [
+    "MODE_TABLE",
     "MODES",
     "ORDER_CAPS",
     "check_order",
@@ -56,17 +62,8 @@ __all__ = [
     "run",
 ]
 
-MODES = ("conjecture", "claims", "detcross", "oracle", "bench")
 REJECTION_LIMIT = 10_000
 DEFAULT_PROBS = (Fraction(8, 10), Fraction(15, 100), Fraction(5, 100))
-
-#: Largest order each mode accepts, through ``--n`` or ``--input``.  Brute
-#: force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial takes
-#: about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
-#: (mean of three at seed 42, six runs, a 2-vCPU CPython 3.11 host) takes
-#: 0.08-0.10 s at order 12 and 0.17-0.22 s at 13, about two thirds of it in
-#: the kernel's two principal-minor passes, on A and on adj A.
-ORDER_CAPS = {"claims": SYMBOLIC_CAP, "detcross": 9, "bench": 9, "oracle": 12, "conjecture": 13}
 
 
 class TrialConfig:
@@ -104,8 +101,12 @@ class TrialConfig:
         self._cuts = None
 
     def validate(self):
+        """Refuse a config its mode's row does not allow.  The orders of a
+        seeded run are checked here; an ``--input`` run's order is its order
+        line, checked by :func:`run` before a row is parsed."""
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        row = MODE_TABLE[self.mode]
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError(f"orders must be positive, got {self.n_values}")
         if self.trials < 1:
@@ -121,9 +122,7 @@ class TrialConfig:
             raise ValueError("probabilities need a common denominator of at most 2**64")
         if len(self.probs) != 3 or any(p < 0 for p in self.probs) or sum(self.probs) != 1:
             raise ValueError(f"probabilities must be three non-negative values summing to 1, got {self.probs}")
-        if self.probs[0] == 0 and self.input_text is None and (
-            self.mode == "claims" or (self.mode == "conjecture" and not self.allow_singular)
-        ):
+        if self.probs[0] == 0 and self.input_text is None and not self.may_be_singular():
             # Without tangible entries every determinant is a ghost or eps.
             raise ValueError(
                 f"degenerate distribution {tuple(map(str, self.probs))}: a tangible probability "
@@ -131,50 +130,50 @@ class TrialConfig:
             )
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.engine != "auto" and self.mode in ("detcross", "bench", "oracle"):
-            raise ValueError(
-                f"{self.mode} mode takes no --engine (only conjecture and claims use one), "
-                f"got {self.engine}"
-            )
+        if self.engine != "auto" and not row.engine:
+            raise ValueError(f"{self.mode} mode takes no --engine, got {self.engine}")
         if self.ks is not None and any(k < 0 for k in self.ks):
             raise ValueError(f"k filter must be non-negative, got {self.ks}")
-        if self.ks is not None and self.mode in ("detcross", "bench"):
+        if self.ks is not None and row.first_k is None:
             raise ValueError(f"{self.mode} mode has no per-k checks, so it takes no k filter")
-        if self.allow_singular and self.mode != "conjecture":
-            raise ValueError(f"--allow-singular applies to conjecture mode only, not {self.mode} mode")
+        if self.allow_singular and row.singular is not None:
+            raise ValueError(f"{self.mode} mode takes no --allow-singular")
         if self.out_format not in ("jsonl", "pretty"):
             raise ValueError(f"unknown format {self.out_format!r}")
-        check_order(self.mode, max(self.n_values))
         if self.input_text is None:
-            self.check_ks(max(self.n_values))
-            if self.mode == "oracle" or self.allow_singular:  # allow_singular implies conjecture
-                self.check_k0(max(self.n_values), f"{self.mode} mode can draw a singular one")
-        if self.engine in ("brute", "both") and max(self.n_values) > BRUTE_CAP:
-            raise ValueError(
-                f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), "
-                f"got {max(self.n_values)}"
-            )
-        if self.mode == "bench" and self.input_text is not None:
-            raise ValueError("bench mode does not take an input matrix")
+            for n in sorted(set(self.n_values)):
+                self.check_n(n, self.may_be_singular())
+        elif row.parse is None:
+            raise ValueError(f"{self.mode} mode does not take an input matrix")
+
+    def may_be_singular(self) -> bool:
+        """Whether the mode's matrices may be singular: as its row says, or
+        as ``allow_singular`` says where the row leaves it open."""
+        singular = MODE_TABLE[self.mode].singular
+        return self.allow_singular if singular is None else singular
+
+    def check_n(self, n: int, singular: bool):
+        """The per-order rule: refuse order ``n`` above the mode's cap, above
+        :data:`BRUTE_CAP` under a brute-force engine, or with a ``ks`` filter
+        that keeps none of the k the mode checks there.  Those are
+        ``first_k..n``, or ``1..n`` where the matrix may be ``singular``:
+        k = 0 needs an invertible matrix."""
+        check_order(self.mode, n)
+        if self.engine in ("brute", "both") and n > BRUTE_CAP:
+            raise ValueError(f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), got {n}")
+        first_k = MODE_TABLE[self.mode].first_k
+        lo = 1 if singular else first_k
+        if self.ks is None or first_k is None or any(lo <= k <= n for k in self.ks):
+            return
+        ks = ",".join(map(str, self.ks))
+        if 0 in self.ks and lo > first_k:
+            why = (f"{self.mode} mode can draw a singular one" if self.input_text is None
+                   else f"the {self.mode} input matrix is singular")
+            raise ValueError(f"k filter {ks} keeps only k = 0, which needs an invertible matrix, but {why} (order {n})")
+        raise ValueError(f"k filter {ks} keeps no k in {lo}..{n} for {self.mode} mode")
 
     def trial_n(self, index: int) -> int:
         return self.n_values[index % len(self.n_values)]
-
-    def check_ks(self, top: int):
-        """Refuse a ``ks`` filter that keeps no k of the mode's per-k checks
-        at any order up to ``top``: such a run would check nothing."""
-        lo = {"conjecture": 0, "claims": 1, "oracle": 0}.get(self.mode)  # the lowest k checked
-        if self.ks is not None and lo is not None and not any(lo <= k <= top for k in self.ks):
-            ks = ",".join(map(str, self.ks))
-            raise ValueError(f"k filter {ks} keeps no k in {lo}..{top} for {self.mode} mode")
-
-    def check_k0(self, top: int, singular: str):
-        """Refuse a ``ks`` filter that keeps no k in ``1..top``, only k = 0,
-        where a matrix may be singular (``singular`` says why): k = 0 needs
-        an invertible matrix, so on a singular one nothing would be checked."""
-        if self.ks is not None and not any(1 <= k <= top for k in self.ks):
-            ks = ",".join(map(str, self.ks))
-            raise ValueError(f"k filter {ks} keeps only k = 0, which needs an invertible matrix, but {singular}")
 
     def k_values(self, lo: int, n: int) -> list:
         """The k in ``lo..n`` that the ``ks`` filter keeps."""
@@ -182,8 +181,8 @@ class TrialConfig:
 
 
 def check_order(mode, n):
-    """Refuse an order above the mode's entry in :data:`ORDER_CAPS`."""
-    cap = ORDER_CAPS[mode]
+    """Refuse an order above the mode's cap in :data:`MODE_TABLE`."""
+    cap = MODE_TABLE[mode].cap
     if n > cap:
         raise ValueError(f"{mode} mode needs order <= {cap}, got {n}")
 
@@ -280,23 +279,23 @@ def random_rational_matrix(rng: Xorshift64Star, n: int, bound: int):
 # per-trial records
 
 
-def _matrix_json(A: Matrix):
-    return {"n": A.n, "rows": [" ".join(s.token for s in row) for row in A.rows]}
+def _record_head(index, seed, rejections, rows, token):
+    """The keys every trial record starts with; ``token`` writes one entry
+    of the matrix ``rows``."""
+    n = len(rows)
+    matrix = {"n": n, "rows": [" ".join(map(token, row)) for row in rows]}
+    return {"trial": index, "seed": seed, "n": n, "rejections": rejections, "matrix": matrix}
 
 
-def _rational_matrix_json(X):
-    return {"n": len(X), "rows": [" ".join(str(x) for x in row) for row in X]}
+def _token(s: Scalar) -> str:
+    return s.token
 
 
 def _conjecture_record(cfg, index, A, seed, rejections):
     ks = cfg.ks if cfg.ks is None else tuple(k for k in cfg.ks if k <= A.n)
     report = conjecture_check(A, cfg.engine, ks=ks, allow_singular=cfg.allow_singular)
     return {
-        "trial": index,
-        "seed": seed,
-        "n": A.n,
-        "rejections": rejections,
-        "matrix": _matrix_json(A),
+        **_record_head(index, seed, rejections, A.rows, _token),
         "det": report.det.token,
         "results": [
             {"k": c.k, "lhs": c.lhs.token, "rhs": c.rhs.token, "holds": c.holds}
@@ -310,11 +309,7 @@ def _detcross_record(cfg, index, A, seed, rejections):
     brute = det_brute(A, cap=max(A.n, 8))
     assignment = det(A, "assignment")
     return {
-        "trial": index,
-        "seed": seed,
-        "n": A.n,
-        "rejections": rejections,
-        "matrix": _matrix_json(A),
+        **_record_head(index, seed, rejections, A.rows, _token),
         "brute": brute.token,
         "assignment": assignment.token,
         "ok": brute == assignment == det(A),
@@ -360,11 +355,7 @@ def _claims_record(cfg, index, A, seed, rejections):
         )
     return {
         "type": "trial",
-        "trial": index,
-        "seed": seed,
-        "n": n,
-        "rejections": rejections,
-        "matrix": _matrix_json(A),
+        **_record_head(index, seed, rejections, A.rows, _token),
         "results": results,
         "ok": all(r["holds"] for r in results),
     }
@@ -380,11 +371,7 @@ def _oracle_record(cfg, index, X, seed, rejections):
         reciprocal = [{"k": k, "ok": report.reciprocal[k]} for k in cfg.k_values(0, n)]
     ok = all(r["ok"] for r in jacobi) and (reciprocal is None or all(r["ok"] for r in reciprocal))
     return {
-        "trial": index,
-        "seed": seed,
-        "n": n,
-        "rejections": rejections,
-        "matrix": _rational_matrix_json(X),
+        **_record_head(index, seed, rejections, X, str),
         "invertible": invertible,
         "jacobi": jacobi,
         "reciprocal": reciprocal,
@@ -422,43 +409,58 @@ def _bench_rows(cfg):
     return rows
 
 
-#: Per verification mode: draw ``(matrix, rejections)`` from ``(cfg, rng, n)``,
-#: parse an ``--input`` text into a matrix, and build the trial record.
-_SUITES = {
-    "conjecture": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, not cfg.allow_singular),
-                   parse_matrix, _conjecture_record),
-    "claims": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, True), parse_matrix, _claims_record),
-    "detcross": (lambda cfg, rng, n: generate_matrix(rng, n, cfg, False), parse_matrix, _detcross_record),
-    "oracle": (lambda cfg, rng, n: (random_rational_matrix(rng, n, cfg.bound), 0),
-               classical.parse_rational_matrix, _oracle_record),
+def _draw_matrix(cfg, rng, n):
+    return generate_matrix(rng, n, cfg, not cfg.may_be_singular())
+
+
+def _draw_rational(cfg, rng, n):
+    return random_rational_matrix(rng, n, cfg.bound), 0
+
+
+#: One mode's rules: ``cap`` the largest order; ``first_k`` the lowest k
+#: checked, ``None`` if the mode takes no ``--k``; ``engine`` whether it takes
+#: ``--engine``; ``singular`` whether its matrices may be singular, ``None``
+#: for as ``--allow-singular`` (taken only there) says; ``draw``, ``parse``
+#: (``None``: no ``--input``) and ``record`` the trial functions; ``head``
+#: the rows written before the trials; ``trials`` the default ``--trials``.
+Mode = collections.namedtuple("Mode", "cap first_k engine singular draw parse record head trials")
+
+#: Brute force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial
+#: takes about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
+#: (mean of three at seed 42, six runs, a 2-vCPU CPython 3.11 host) takes
+#: 0.08-0.10 s at order 12 and 0.17-0.22 s at 13, about two thirds of it in
+#: the kernel's two principal-minor passes, on A and on adj A.  Past order
+#: ``SYMBOLIC_CAP`` the symbolic term counts of ``claims`` explode.
+MODE_TABLE = {
+    "conjecture": Mode(13, 0, True, None, _draw_matrix, parse_matrix, _conjecture_record, None, 100),
+    "claims": Mode(SYMBOLIC_CAP, 1, True, False, _draw_matrix, parse_matrix, _claims_record,
+                   _claims_symbolic_rows, 100),
+    "detcross": Mode(9, None, False, True, _draw_matrix, parse_matrix, _detcross_record, None, 100),
+    "oracle": Mode(12, 0, False, True, _draw_rational, classical.parse_rational_matrix, _oracle_record,
+                   None, 100),
+    "bench": Mode(9, None, False, True, None, None, None, _bench_rows, 3),
 }
-
-
-def _is_singular_input(cfg, matrix):
-    """True if ``matrix`` has no k = 0 check in ``cfg``'s mode: a ``conjecture``
-    matrix whose determinant is not tangible, an ``oracle`` one whose
-    determinant is 0.  (``claims`` refuses a singular matrix outright.)"""
-    if cfg.mode == "oracle":
-        return classical.rat_det(matrix) == 0
-    return cfg.mode == "conjecture" and not is_nonsingular(matrix, cfg.engine)
+MODES = tuple(MODE_TABLE)
+ORDER_CAPS = {mode: row.cap for mode, row in MODE_TABLE.items()}
 
 
 def _trial_records(cfg):
     """One record for ``--input``, else one per seeded trial, in trial order."""
-    draw, parse, record = _SUITES[cfg.mode]
+    row = MODE_TABLE[cfg.mode]
     if cfg.input_text is not None:
-        n = grid_order(cfg.input_text)  # refused above the cap before a row is parsed
-        check_order(cfg.mode, n)
-        cfg.check_ks(n)
-        matrix = parse(cfg.input_text)
-        if cfg.ks is not None and _is_singular_input(cfg, matrix):
-            cfg.check_k0(n, f"the {cfg.mode} input matrix is singular")
-        yield record(cfg, 0, matrix, None, 0)
+        n = grid_order(cfg.input_text)
+        cfg.check_n(n, False)  # before a row is parsed
+        record = row.record(cfg, 0, row.parse(cfg.input_text), None, 0)
+        if cfg.ks is not None and not any(isinstance(v, list) and v for v in record.values()):
+            # Only k = 0 on a singular matrix goes unchecked: refused as on a
+            # seeded run that can draw one.
+            cfg.check_n(n, True)
+        yield record
         return
     for index in range(cfg.trials):
         seed = derive_trial_seed(cfg.seed, index)
-        matrix, rejections = draw(cfg, Xorshift64Star(seed), cfg.trial_n(index))
-        yield record(cfg, index, matrix, str(seed), rejections)
+        matrix, rejections = row.draw(cfg, Xorshift64Star(seed), cfg.trial_n(index))
+        yield row.record(cfg, index, matrix, str(seed), rejections)
 
 
 # ---------------------------------------------------------------------------
@@ -501,21 +503,18 @@ def _pretty_line(record):
 
 def run(cfg: TrialConfig, out, err) -> int:
     """Execute the configured suite; stream records to ``out``, summary to ``err``."""
+    row = MODE_TABLE[cfg.mode]
     start = time.perf_counter()
     failures = 0
     symbolic_failures = 0
     rejections = 0
     trials_run = 0
 
-    if cfg.mode == "bench":
-        for row in _bench_rows(cfg):
-            _emit(cfg, out, row)
-    else:
-        if cfg.mode == "claims" and cfg.input_text is None:
-            for row in _claims_symbolic_rows(cfg):
-                if not row["ok"]:
-                    symbolic_failures += 1
-                _emit(cfg, out, row)
+    if row.head is not None and cfg.input_text is None:
+        for head_row in row.head(cfg):
+            symbolic_failures += not head_row.get("ok", True)  # bench rows carry no verdict
+            _emit(cfg, out, head_row)
+    if row.record is not None:
         for record in _trial_records(cfg):
             trials_run += 1
             rejections += record["rejections"]
@@ -531,7 +530,9 @@ def run(cfg: TrialConfig, out, err) -> int:
         "rejections": rejections,
         "elapsed": elapsed,
     }
-    if cfg.mode == "claims":
+    # Head rows followed by trials are checks: the claims mode's symbolic rows.
+    checked_head = row.head is not None and row.record is not None
+    if checked_head:
         summary["symbolic_failures"] = symbolic_failures
     if cfg.out_format == "jsonl":
         err.write(json.dumps(summary, separators=(",", ":")) + "\n")
@@ -539,7 +540,7 @@ def run(cfg: TrialConfig, out, err) -> int:
         err.write(
             f"summary: trials={trials_run} failures={failures} "
             f"rejections={rejections} elapsed={elapsed}s"
-            + (f" symbolic_failures={symbolic_failures}" if cfg.mode == "claims" else "")
+            + (f" symbolic_failures={symbolic_failures}" if checked_head else "")
             + "\n"
         )
     return 0 if failures == 0 and symbolic_failures == 0 else 1

@@ -11,6 +11,7 @@ import pytest
 
 from supertrop import Scalar, matrices, mul, polynomials, tangible
 from supertrop.cli import main, parse_ks, parse_n_range, parse_probs
+from supertrop.harness import MODE_TABLE
 
 
 class TestParsers:
@@ -237,7 +238,7 @@ class TestMain:
         filters = (None, "0", "1", "0,1", "2", "0,2", "3", "0,3", "1,3")
         refused = singular = 0
         for mode in modes:
-            for n in ("1", "2", "3"):
+            for n in ("1", "2", "3", "1..3", "2..3"):
                 for ks in filters:
                     argv = ["--mode", *mode, "--n", n, "--trials", "12", "--bound", "1",
                             "--probs", "40/100,50/100,10/100", "--seed", "42"]
@@ -254,6 +255,50 @@ class TestMain:
                         singular += r.get("invertible") is False or r.get("det", "t")[-1] != "t"
         # The grid reaches singular matrices and refused filters alike.
         assert singular > 0 and refused > 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--mode conjecture --n 2..4 --k 3 --trials 30 --seed 42", "k filter 3 keeps no k in 0..2"),
+            ("--mode claims --n 2..3 --k 3 --trials 30 --seed 42", "k filter 3 keeps no k in 1..2"),
+            ("--mode oracle --n 2..3 --k 0,3 --trials 30 --bound 1 --seed 42",
+             "k filter 0,3 keeps only k = 0, which needs an invertible matrix"),
+        ],
+        ids=["conjecture", "claims", "oracle"],
+    )
+    def test_ks_filter_that_checks_nothing_at_one_order_exits_2(self, argv, message, capsys):
+        # k = 3 is checked at the top order but not at order 2, where these
+        # runs would write records with no verdict.
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"supertrop: config error: {message}")
+
+    def test_n_beside_input_exits_2(self, tmp_path, capsys):
+        # An --input run's order is its order line, so --n would be ignored.
+        path = tmp_path / "m.txt"
+        path.write_text("3\n0t 1t 2t\n2t 0t 1t\n1t 2t 0t\n")
+        for n in ("5", "3"):
+            assert main(["--mode", "claims", "--n", n, "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "config error: an --input run takes its order from the file, so it takes no --n" in captured.err
+        assert main(["--mode", "claims", "--input", str(path)]) == 0
+
+    @pytest.mark.parametrize("engine", ["brute", "both"])
+    def test_input_above_the_brute_force_cap_is_refused_before_its_rows(self, engine, tmp_path, capsys,
+                                                                        monkeypatch):
+        # The order line goes through the seeded run's per-order check.
+        path = tmp_path / "m.txt"
+        path.write_text("9\n" + ("1t " * 9 + "\n") * 9)
+        built = []
+        real = Scalar.__init__
+        monkeypatch.setattr(Scalar, "__init__", lambda s, value, tag: built.append(1) or real(s, value, tag))
+        assert main(["--mode", "conjecture", "--engine", engine, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"engine {engine} needs order <= 8 (brute force), got 9" in captured.err
+        assert built == []
 
     def test_huge_order_range_refused_before_it_is_built(self, capsys):
         start = time.perf_counter()
@@ -404,3 +449,26 @@ class TestSubprocess:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 2
         assert err == b"supertrop: stdout closed before the run finished\n"
+
+
+def test_readme_mode_table_matches_the_harness():
+    # README's "Mode rules" table and harness.MODE_TABLE state the same rules.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| mode | order cap | k range | `--engine` | `--input` | may be singular |")
+    documented = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        mode, *cells = [c.strip().replace("`", "") for c in line.strip("|").split("|")]
+        documented[mode] = cells
+    singular = {True: "yes", False: "no", None: "with --allow-singular"}
+    assert documented == {
+        mode: [
+            str(row.cap),
+            "none" if row.first_k is None else f"{row.first_k}..n",
+            "yes" if row.engine else "no",
+            "no" if row.parse is None else "yes",
+            singular[row.singular],
+        ]
+        for mode, row in MODE_TABLE.items()
+    }

@@ -370,8 +370,8 @@ class TestRun:
         def broken_record(cfg, index, A, seed, rejections):
             return {"trial": index, "rejections": 0, "ok": index != 1}
 
-        draw, parse, _ = harness._SUITES["conjecture"]
-        monkeypatch.setitem(harness._SUITES, "conjecture", (draw, parse, broken_record))
+        row = harness.MODE_TABLE["conjecture"]
+        monkeypatch.setitem(harness.MODE_TABLE, "conjecture", row._replace(record=broken_record))
         cfg = TrialConfig(mode="conjecture", trials=3, seed=1)
         code, out, err = run_capture(cfg)
         assert code == 1
@@ -411,13 +411,16 @@ class TestRun:
         assert [(r["n"], r["k"]) for r in filtered if r["type"] == "symbolic"] == [(2, 1), (3, 1), (3, 3), (4, 1), (4, 3)]
 
     def test_ks_filter_intersects_with_order(self):
-        # k values beyond a trial's order are skipped, not an error.
+        # The filter is checked at every order of the run: k = 3 checks
+        # nothing at order 2, so the run is refused before any record.
         cfg = TrialConfig(mode="conjecture", n_values=(2, 4), trials=4, seed=42, ks=(3,))
+        with pytest.raises(ValueError, match=r"k filter 3 keeps no k in 0\.\.2 for conjecture mode"):
+            cfg.validate()
+        cfg = TrialConfig(mode="conjecture", n_values=(3, 4), trials=4, seed=42, ks=(3,))
+        cfg.validate()
         code, out, _ = run_capture(cfg)
         assert code == 0
-        for r in records(out):
-            expected = [3] if r["n"] >= 3 else []
-            assert [c["k"] for c in r["results"]] == expected
+        assert [[c["k"] for c in r["results"]] for r in records(out)] == [[3]] * 4
 
     def test_allow_singular(self):
         cfg = TrialConfig(
