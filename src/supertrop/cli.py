@@ -80,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict per-k checks to these k values")
     parser.add_argument("--trials", type=parse_int, default=None,
                         help="total trial count (default 100; bench: repeats per engine, default 3)")
-    parser.add_argument("--seed", type=parse_int, default=42,
+    parser.add_argument("--seed", type=parse_int, default=None,
                         help="master seed, a 64-bit word in 0..2**64-1 (default 42)")
-    parser.add_argument("--bound", type=parse_int, default=20,
+    parser.add_argument("--bound", type=parse_int, default=None,
                         help="entry values are drawn from [-bound, bound] (default 20)")
     parser.add_argument("--probs", default=None, metavar="T,G,E",
-                        help="tangible,ghost,eps probabilities; exact rationals or decimals "
-                             "(default 0.8,0.15,0.05)")
+                        help="conjecture, claims and detcross modes: tangible,ghost,eps probabilities; "
+                             "exact rationals or decimals (default 0.8,0.15,0.05)")
     parser.add_argument("--engine", default="auto", choices=ENGINES,
                         help="conjecture and claims modes: determinant engine (auto: the subset-DP "
                              "kernel at every order; both: the kernel, brute force and assignment, "
@@ -94,27 +94,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--allow-singular", action="store_true",
                         help="conjecture mode: keep singular draws and check k >= 1 only (exploratory)")
     parser.add_argument("--input", default=None, metavar="FILE",
-                        help="run the suite once on this matrix file instead of random trials")
+                        help="run the suite once on this matrix file instead of random trials; "
+                             "takes none of --n, --trials, --seed, --bound and --probs")
     parser.add_argument("--format", default="jsonl", choices=("jsonl", "pretty"))
     return parser
 
 
 def _config_from_args(args) -> TrialConfig:
+    row = MODE_TABLE[args.mode]
     input_text = None
     if args.input is not None:
         if args.n is not None:
             raise ValueError("an --input run takes its order from the file, so it takes no --n")
+        for flag in ("trials", "seed", "bound", "probs"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"an --input run draws no matrix, so it takes no --{flag}")
         with open(args.input, "r", encoding="utf-8") as handle:
             input_text = handle.read()
+    if args.probs is not None and not row.probs:
+        raise ValueError(f"{args.mode} mode takes no --probs, got {args.probs}")
     n_text = "3" if args.n is None else args.n
     check_order(args.mode, _n_ends(n_text)[1])  # the mode's cap, before any tuple
     cfg = TrialConfig(
         mode=args.mode,
         n_values=parse_n_range(n_text),
-        trials=MODE_TABLE[args.mode].trials if args.trials is None else args.trials,
-        seed=args.seed,
-        bound=args.bound,
-        probs=parse_probs(args.probs) if args.probs else DEFAULT_PROBS,
+        trials=row.trials if args.trials is None else args.trials,
+        seed=42 if args.seed is None else args.seed,
+        bound=20 if args.bound is None else args.bound,
+        probs=DEFAULT_PROBS if args.probs is None else parse_probs(args.probs),
         engine=args.engine,
         ks=parse_ks(args.k) if args.k else None,
         allow_singular=args.allow_singular,

@@ -44,7 +44,7 @@ from .matrices import (
     is_nonsingular,
     parse_matrix,
 )
-from .polynomials import SYMBOLIC_CAP, _claims_reports, claim1_check, claim2_check
+from .polynomials import SYMBOLIC_KMAX, _claims_reports, claim1_check, claim2_check
 from .rng import MASK64, Xorshift64Star, derive_trial_seed, rejection_limit
 from .scalars import EPS, Scalar, grid_order
 
@@ -156,21 +156,28 @@ class TrialConfig:
         """The per-order rule: refuse order ``n`` above the mode's cap, above
         :data:`BRUTE_CAP` under a brute-force engine, or with a ``ks`` filter
         that keeps none of the k the mode checks there.  Those are
-        ``first_k..n``, or ``1..n`` where the matrix may be ``singular``:
-        k = 0 needs an invertible matrix."""
+        ``first_k..last_k``, or ``1..last_k`` where the matrix may be
+        ``singular``: k = 0 needs an invertible matrix.  Where ``last_k`` is
+        below n, a run needs a ``ks`` filter that keeps no k above it."""
         check_order(self.mode, n)
         if self.engine in ("brute", "both") and n > BRUTE_CAP:
             raise ValueError(f"engine {self.engine} needs order <= {BRUTE_CAP} (brute force), got {n}")
-        first_k = MODE_TABLE[self.mode].first_k
-        lo = 1 if singular else first_k
-        if self.ks is None or first_k is None or any(lo <= k <= n for k in self.ks):
+        row = MODE_TABLE[self.mode]
+        if row.first_k is None:
+            return
+        lo = 1 if singular else row.first_k
+        hi = n if row.last_k is None else row.last_k[n]
+        if hi < n and (self.ks is None or any(hi < k <= n for k in self.ks)):
+            raise ValueError(f"{self.mode} mode checks k <= {hi} at order {n}, so it needs a k filter "
+                             f"within {lo}..{hi}")
+        if self.ks is None or any(lo <= k <= hi for k in self.ks):
             return
         ks = ",".join(map(str, self.ks))
-        if 0 in self.ks and lo > first_k:
+        if 0 in self.ks and lo > row.first_k:
             why = (f"{self.mode} mode can draw a singular one" if self.input_text is None
                    else f"the {self.mode} input matrix is singular")
             raise ValueError(f"k filter {ks} keeps only k = 0, which needs an invertible matrix, but {why} (order {n})")
-        raise ValueError(f"k filter {ks} keeps no k in {lo}..{n} for {self.mode} mode")
+        raise ValueError(f"k filter {ks} keeps no k in {lo}..{hi} for {self.mode} mode")
 
     def trial_n(self, index: int) -> int:
         return self.n_values[index % len(self.n_values)]
@@ -418,27 +425,33 @@ def _draw_rational(cfg, rng, n):
 
 
 #: One mode's rules: ``cap`` the largest order; ``first_k`` the lowest k
-#: checked, ``None`` if the mode takes no ``--k``; ``engine`` whether it takes
-#: ``--engine``; ``singular`` whether its matrices may be singular, ``None``
-#: for as ``--allow-singular`` (taken only there) says; ``draw``, ``parse``
-#: (``None``: no ``--input``) and ``record`` the trial functions; ``head``
-#: the rows written before the trials; ``trials`` the default ``--trials``.
-Mode = collections.namedtuple("Mode", "cap first_k engine singular draw parse record head trials")
+#: checked, ``None`` if the mode takes no ``--k``; ``last_k`` the largest k
+#: checked at each order, ``None`` for n; ``engine`` whether it takes
+#: ``--engine``; ``probs`` whether its draws read ``--probs``; ``singular``
+#: whether its matrices may be singular, ``None`` for as ``--allow-singular``
+#: (taken only there) says; ``draw``, ``parse`` (``None``: no ``--input``) and
+#: ``record`` the trial functions; ``head`` the rows written before the
+#: trials; ``trials`` the default ``--trials``.
+Mode = collections.namedtuple(
+    "Mode", "cap first_k last_k engine probs singular draw parse record head trials"
+)
 
 #: Brute force in ``detcross`` and ``bench`` grows as n!; one ``oracle`` trial
 #: takes about 0.75 s at order 12 and 6 s at order 14; a ``conjecture`` trial
 #: (mean of three at seed 42, six runs, a 2-vCPU CPython 3.11 host) takes
 #: 0.08-0.10 s at order 12 and 0.17-0.22 s at 13, about two thirds of it in
-#: the kernel's two principal-minor passes, on A and on adj A.  Past order
-#: ``SYMBOLIC_CAP`` the symbolic term counts of ``claims`` explode.
+#: the kernel's two principal-minor passes, on A and on adj A.  The symbolic
+#: term counts of ``claims`` explode past the k of ``SYMBOLIC_KMAX``.
 MODE_TABLE = {
-    "conjecture": Mode(13, 0, True, None, _draw_matrix, parse_matrix, _conjecture_record, None, 100),
-    "claims": Mode(SYMBOLIC_CAP, 1, True, False, _draw_matrix, parse_matrix, _claims_record,
-                   _claims_symbolic_rows, 100),
-    "detcross": Mode(9, None, False, True, _draw_matrix, parse_matrix, _detcross_record, None, 100),
-    "oracle": Mode(12, 0, False, True, _draw_rational, classical.parse_rational_matrix, _oracle_record,
-                   None, 100),
-    "bench": Mode(9, None, False, True, None, None, None, _bench_rows, 3),
+    "conjecture": Mode(13, 0, None, True, True, None, _draw_matrix, parse_matrix, _conjecture_record,
+                       None, 100),
+    "claims": Mode(max(SYMBOLIC_KMAX), 1, SYMBOLIC_KMAX, True, True, False, _draw_matrix, parse_matrix,
+                   _claims_record, _claims_symbolic_rows, 100),
+    "detcross": Mode(9, None, None, False, True, True, _draw_matrix, parse_matrix, _detcross_record,
+                     None, 100),
+    "oracle": Mode(12, 0, None, False, False, True, _draw_rational, classical.parse_rational_matrix,
+                   _oracle_record, None, 100),
+    "bench": Mode(9, None, None, False, False, True, None, None, None, _bench_rows, 3),
 }
 MODES = tuple(MODE_TABLE)
 ORDER_CAPS = {mode: row.cap for mode, row in MODE_TABLE.items()}

@@ -1,12 +1,18 @@
 """Formal sparse polynomials over the n*n entry variables of a square matrix.
 
-A polynomial maps exponent grids (flattened to an n*n tuple) to tags.
+A polynomial maps monomials to tags.  A monomial is one int, its key: the
+exponent of the variable with flat index ``i = (row - 1) * n + (col - 1)``
+is the nibble at bits ``4i .. 4i + 3``.  Every exponent the builders make
+is at most k <= n <= 5 < 16, so a product of two monomials is the sum of
+their keys, with no carry between nibbles.  :func:`_exponents` reads a key
+back as its n*n exponent grid.
+
 Every coefficient the builders make has value 0, so a term keeps only the
 tag of its coefficient: 1 for ``0t``, a monomial that arises once, and 0
 for ``0g``, one that arises more than once (Izhakian and Rowen,
-"Supertropical algebra", 2010).  A sum of two terms on one grid is ``0g``;
-a product of two terms has tag ``t1 & t2``.  The module builds three
-distinguished polynomials for a given order n and level k:
+"Supertropical algebra", 2010).  A sum of two terms on one monomial is
+``0g``; a product of two terms has tag ``t1 & t2``.  The module builds
+three distinguished polynomials for a given order n and level k:
 
 * ``alpha``: the k-th characteristic coefficient of the adjoint of the
   all-variable matrix;
@@ -18,13 +24,15 @@ Every characteristic coefficient, and so every determinant, comes from one
 graded row DP: the kernel's row DP of ``det(A + lambda I)`` run with
 polynomial arithmetic.  One pass over the variable matrix gives ``det`` and
 every ``chi_m`` behind beta; one pass over the symbolic adjoint, whose cells
-are the determinants of the variable minors, gives every alpha.  Both are
-kept per order.  The tests compare alpha and beta term for term with direct
-enumerations of permutations and index tuples.
+are the determinants of the variable minors, gives every alpha up to the
+order's largest k.  Both are kept per order.  The tests compare alpha and
+beta term for term with direct enumerations of permutations and index
+tuples.
 
 On top of these sit the mechanical support/evaluation checks used by the
-verification harness.  Orders are capped at ``SYMBOLIC_CAP`` (4): the term
-counts explode combinatorially beyond that.
+verification harness.  :data:`SYMBOLIC_KMAX` gives the largest k built at
+each order: every k up to order 4, and k <= 3 at order 5, where alpha has
+178,960 terms at k = 3 and 1,184,930 at k = 4.
 
 Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
@@ -40,14 +48,15 @@ Variable indices in the public helpers are 1-based: ``variable(n, 1, 1)`` is
 from __future__ import annotations
 
 import collections
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .errors import InternalError, OrderTooLarge, Singular
 from .matrices import Matrix, _minor, _row_plan, _surpassing_sides
 from .scalars import EPS, Scalar, ghost_surpasses
 
 __all__ = [
-    "SYMBOLIC_CAP",
+    "SYMBOLIC_KMAX",
     "Poly",
     "zero_poly",
     "unit_poly",
@@ -69,15 +78,19 @@ __all__ = [
     "decomposition_checks",
 ]
 
-#: Largest order for which alpha/beta/gamma are built symbolically.
-SYMBOLIC_CAP = 4
+#: The largest k for which alpha/beta/gamma are built, per order; an order
+#: that is not a key is not built at all.
+SYMBOLIC_KMAX = {1: 1, 2: 2, 3: 3, 4: 4, 5: 3}
+
+#: Bits per exponent in a monomial key.
+_NIBBLE = 4
 
 
 class Poly:
     """Sparse polynomial over the n*n entry variables of order ``n``.
 
-    ``terms`` maps each exponent grid, an n*n tuple of non-negative ints, to
-    the tag of its coefficient: 1 for ``0t``, 0 for ``0g``.  A grid that is
+    ``terms`` maps each monomial key (see the module docstring) to the tag
+    of its coefficient: 1 for ``0t``, 0 for ``0g``.  A monomial that is
     absent has coefficient eps.  Both arguments are stored as given, without
     a check or a copy.  :func:`evaluate` keeps a compiled form of the terms
     in a private slot, so the terms of an evaluated polynomial must not
@@ -111,16 +124,19 @@ def zero_poly(n: int) -> Poly:
 
 
 def unit_poly(n: int) -> Poly:
-    return Poly(n, {(0,) * (n * n): 1})
+    return Poly(n, {0: 1})
 
 
 def variable(n: int, i: int, j: int) -> Poly:
     """The single-variable monomial ``v_ij`` (1-based) with coefficient ``0t``."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexError(f"variable indices out of range for order {n}: ({i}, {j})")
-    exps = [0] * (n * n)
-    exps[(i - 1) * n + (j - 1)] = 1
-    return Poly(n, {tuple(exps): 1})
+    return Poly(n, {1 << _NIBBLE * ((i - 1) * n + (j - 1)): 1})
+
+
+def _exponents(key, n):
+    """The n*n exponent grid of the monomial ``key``, flattened row by row."""
+    return tuple(key >> _NIBBLE * i & 15 for i in range(n * n))
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -131,30 +147,39 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     if not q.terms:
         return p
     terms = dict(p.terms)
-    for exps, tag in q.terms.items():
-        terms[exps] = 0 if exps in terms else tag
+    for key, tag in q.terms.items():
+        terms[key] = 0 if key in terms else tag
     return Poly(p.n, terms)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
+    """The product of ``p`` and ``q``: each pair of terms adds its keys.
+    A factor with an exponent above 7 is refused, since the product of two
+    such could carry out of its 4 bits into the next variable's."""
     if p.n != q.n:
         raise ValueError(f"order mismatch: {p.n} vs {q.n}")
+    high = ((1 << _NIBBLE * p.n * p.n) - 1) // 15 * 8  # bit 3 of each of the n*n nibbles
+    if (reduce(or_, p.terms, 0) | reduce(or_, q.terms, 0)) & high:
+        raise ValueError("a factor has an exponent above 7, which a product could carry into the next variable")
     terms = {}
     for e1, t1 in p.terms.items():
         for e2, t2 in q.terms.items():
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            terms[exps] = 0 if exps in terms else t1 & t2
+            key = e1 + e2
+            terms[key] = 0 if key in terms else t1 & t2
     return Poly(p.n, terms)
 
 
-def _poly_sums(cells, n):
+def _poly_sums(cells, n, kmax=None):
     """``sums[k]``: the sum of all principal k-by-k minors of the square grid
     ``cells`` of order-n polynomials, k = 0..m; ``sums[m]`` is its determinant.
+    With ``kmax``, each ``sums[k]`` with k > kmax is the zero polynomial.
 
     The row DP of :func:`matrices._principal_sums` over the same index plan,
     with :func:`poly_add` and :func:`poly_mul` as the semiring: ``f[S][d]``
     sums the assignments of rows ``0..|S|-1`` onto the columns ``S`` in which
-    ``d`` rows take the tangible unit lambda on the diagonal.
+    ``d`` rows take the tangible unit lambda on the diagonal.  ``sums[k]`` is
+    ``f[full][m-k]``, and each later row raises d by at most one, so an
+    entry with ``d < |S| - kmax`` reaches no k <= kmax and is not built.
     """
     m = len(cells)
     by_count, pairs = _row_plan(m)
@@ -164,15 +189,16 @@ def _poly_sums(cells, n):
     for r in range(m):
         row = cells[r]
         low = (2 << r) - 1
+        lo = 0 if kmax is None else max(r + 1 - kmax, 0)
         for S in by_count[r + 1]:
             out = [zero] * ((S & low).bit_count() + 1)
             for T, j in pairs[S]:
                 prev = f[T]
                 if j == r:
-                    for d, p in enumerate(prev, 1):
-                        out[d] = poly_add(out[d], p)
-                for d, p in enumerate(prev):
-                    out[d] = poly_add(out[d], poly_mul(p, row[j]))
+                    for d in range(max(lo, 1), len(prev) + 1):
+                        out[d] = poly_add(out[d], prev[d - 1])
+                for d in range(lo, len(prev)):
+                    out[d] = poly_add(out[d], poly_mul(prev[d], row[j]))
             f[S] = out
     return f[-1][::-1]  # f[full][m] is the unit: every row takes lambda
 
@@ -198,20 +224,23 @@ def _variable_sums(n):
 
 @lru_cache(maxsize=None)
 def _adjoint_sums(n):
-    """Every ``chi_m`` of the adjoint of the all-variable matrix, m = 0..n;
-    its entry (i, j) is the minor without row j and column i."""
+    """Every ``chi_m`` of the adjoint of the all-variable matrix, m = 0..n,
+    built for m up to ``SYMBOLIC_KMAX[n]``; its entry (i, j) is the minor
+    without row j and column i."""
     cells = _variable_cells(n)
     adj = [[poly_det(_minor(cells, j, i), n) for j in range(n)] for i in range(n)]
-    return _poly_sums(adj, n)
+    return _poly_sums(adj, n, SYMBOLIC_KMAX[n])
 
 
 def _check_caps(n, k, k_floor):
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n > SYMBOLIC_CAP:
-        raise OrderTooLarge(f"symbolic construction capped at order {SYMBOLIC_CAP}, got {n}")
+    if n not in SYMBOLIC_KMAX:
+        raise OrderTooLarge(f"symbolic construction capped at order {max(SYMBOLIC_KMAX)}, got {n}")
     if not (k_floor <= k <= n):
         raise ValueError(f"k must lie in {k_floor}..{n}, got {k}")
+    if k > SYMBOLIC_KMAX[n]:
+        raise OrderTooLarge(f"symbolic construction at order {n} capped at k = {SYMBOLIC_KMAX[n]}, got {k}")
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +273,7 @@ def build_beta(n: int, k: int) -> Poly:
 def build_gamma(n: int, k: int) -> Poly:
     """The terms of beta with tag 1.  Cached; treat as read-only."""
     beta = build_beta(n, k)
-    return Poly(n, {e: tag for e, tag in beta.terms.items() if tag})
+    return Poly(n, {key: tag for key, tag in beta.terms.items() if tag})
 
 
 def _compiled(p):
@@ -254,14 +283,12 @@ def _compiled(p):
     Built on the first call and kept on ``p``."""
     compiled = p._compiled
     if compiled is None:
-        compiled = p._compiled = tuple(
-            (
-                tag,
-                sum(1 << i for i, e in enumerate(exps) if e),
-                tuple(i for i, e in enumerate(exps) for _ in range(e)),
-            )
-            for exps, tag in p.terms.items()
-        )
+        compiled = []
+        for key, tag in p.terms.items():
+            exps = _exponents(key, p.n)
+            support = sum(1 << i for i, e in enumerate(exps) if e)
+            compiled.append((tag, support, tuple(i for i, e in enumerate(exps) for _ in range(e))))
+        compiled = p._compiled = tuple(compiled)
     return compiled
 
 
@@ -311,8 +338,9 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
 class Claim1Report(
     collections.namedtuple("Claim1Report", "n k alpha_terms beta_terms violations")
 ):
-    """Support comparison of alpha and beta: every grid with tag 1 on
-    either side must appear on both sides."""
+    """Support comparison of alpha and beta: every monomial with tag 1 on
+    either side must appear on both sides.  ``violations`` lists the
+    exponent grids of those that do not."""
 
     __slots__ = ()
 
@@ -322,7 +350,8 @@ class Claim1Report(
 
 
 class Claim2Report(collections.namedtuple("Claim2Report", "n k gamma_terms missing")):
-    """gamma must be a sub-sum of alpha: its support inside alpha's support."""
+    """gamma must be a sub-sum of alpha: its support inside alpha's support.
+    ``missing`` lists the exponent grids of gamma's monomials outside it."""
 
     __slots__ = ()
 
@@ -365,9 +394,9 @@ def claim1_check(n: int, k: int) -> Claim1Report:
     beta = build_beta(n, k)
     tangible_support = {e for e, tag in alpha.terms.items() if tag}
     tangible_support |= {e for e, tag in beta.terms.items() if tag}
-    violations = tuple(
-        sorted(e for e in tangible_support if e not in alpha.terms or e not in beta.terms)
-    )
+    violations = tuple(sorted(
+        _exponents(e, n) for e in tangible_support if e not in alpha.terms or e not in beta.terms
+    ))
     return Claim1Report(
         n=n,
         k=k,
@@ -381,7 +410,7 @@ def claim2_check(n: int, k: int) -> Claim2Report:
     _check_caps(n, k, 1)
     alpha = build_alpha(n, k)
     gamma = build_gamma(n, k)
-    missing = tuple(sorted(e for e in gamma.terms if e not in alpha.terms))
+    missing = tuple(sorted(_exponents(e, n) for e in gamma.terms if e not in alpha.terms))
     return Claim2Report(n=n, k=k, gamma_terms=len(gamma), missing=missing)
 
 

@@ -130,9 +130,20 @@ class TestMain:
 
     def test_claims_input_order_cap_exits_2(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
-        path.write_text("5\n" + "0t 0t 0t 0t 0t\n" * 5)
+        path.write_text("6\n" + "0t 0t 0t 0t 0t 0t\n" * 6)
         assert main(["--mode", "claims", "--input", str(path)]) == 2
-        assert "claims mode needs order <= 4, got 5" in capsys.readouterr().err
+        assert "claims mode needs order <= 5, got 6" in capsys.readouterr().err
+        # Order 5 is built symbolically for k <= 3 only.
+        path.write_text("5\n" + "".join(" ".join("5t" if i == j else "0t" for j in range(5)) + "\n"
+                                         for i in range(5)))
+        for ks in (None, "1,4", "5"):
+            assert main(["--mode", "claims", "--input", str(path)] + ([] if ks is None else ["--k", ks])) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "claims mode checks k <= 3 at order 5, so it needs a k filter within 1..3" in captured.err
+        assert main(["--mode", "claims", "--input", str(path), "--k", "1,2,3"]) == 0
+        (row,) = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert row["ok"] and [r["k"] for r in row["results"]] == [1, 2, 3]
 
     def test_input_above_the_cap_is_refused_before_its_rows(self, tmp_path, capsys, monkeypatch):
         # 600 rows of 600 entries, about 1 MB: the order line alone refuses it.
@@ -240,8 +251,9 @@ class TestMain:
         for mode in modes:
             for n in ("1", "2", "3", "1..3", "2..3"):
                 for ks in filters:
-                    argv = ["--mode", *mode, "--n", n, "--trials", "12", "--bound", "1",
-                            "--probs", "40/100,50/100,10/100", "--seed", "42"]
+                    argv = ["--mode", *mode, "--n", n, "--trials", "12", "--bound", "1", "--seed", "42"]
+                    if MODE_TABLE[mode[0]].probs:
+                        argv += ["--probs", "40/100,50/100,10/100"]
                     code = main(argv + ([] if ks is None else ["--k", ks]))
                     captured = capsys.readouterr()
                     rows = [json.loads(line) for line in captured.out.splitlines()]
@@ -263,12 +275,17 @@ class TestMain:
             ("--mode claims --n 2..3 --k 3 --trials 30 --seed 42", "k filter 3 keeps no k in 1..2"),
             ("--mode oracle --n 2..3 --k 0,3 --trials 30 --bound 1 --seed 42",
              "k filter 0,3 keeps only k = 0, which needs an invertible matrix"),
+            ("--mode claims --n 4..5 --trials 30 --seed 42",
+             "claims mode checks k <= 3 at order 5, so it needs a k filter within 1..3"),
+            ("--mode claims --n 4..5 --k 3,4 --trials 30 --seed 42",
+             "claims mode checks k <= 3 at order 5, so it needs a k filter within 1..3"),
         ],
-        ids=["conjecture", "claims", "oracle"],
+        ids=["conjecture", "claims", "oracle", "claims-order-5", "claims-order-5-k4"],
     )
     def test_ks_filter_that_checks_nothing_at_one_order_exits_2(self, argv, message, capsys):
-        # k = 3 is checked at the top order but not at order 2, where these
-        # runs would write records with no verdict.
+        # k = 3 is checked at the top order but not at order 2, where the
+        # first three runs would write records with no verdict; claims checks
+        # k <= 3 at order 5, so a run there needs a filter that keeps no more.
         assert main(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -284,6 +301,17 @@ class TestMain:
             assert captured.out == ""
             assert "config error: an --input run takes its order from the file, so it takes no --n" in captured.err
         assert main(["--mode", "claims", "--input", str(path)]) == 0
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "5"), ("--seed", "7"), ("--bound", "3"),
+                                             ("--probs", "1,0,0")])
+    def test_draw_flag_beside_input_exits_2(self, flag, value, tmp_path, capsys):
+        # An --input run draws no matrix, so these flags would be ignored.
+        path = tmp_path / "m.txt"
+        path.write_text("3\n0t 1t 2t\n2t 0t 1t\n1t 2t 0t\n")
+        assert main(["--mode", "conjecture", "--input", str(path), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: an --input run draws no matrix, so it takes no {flag}" in captured.err
 
     @pytest.mark.parametrize("engine", ["brute", "both"])
     def test_input_above_the_brute_force_cap_is_refused_before_its_rows(self, engine, tmp_path, capsys,
@@ -367,6 +395,8 @@ class TestMain:
             ["--mode", "detcross", "--engine", "both"],
             ["--mode", "bench", "--engine", "assignment"],
             ["--mode", "oracle", "--engine", "brute"],
+            ["--mode", "oracle", "--probs", "0,1,0"],
+            ["--mode", "bench", "--probs", "1,0,0"],
         ],
     )
     def test_flag_the_mode_would_ignore_exits_2(self, argv, capsys):
@@ -454,7 +484,7 @@ class TestSubprocess:
 def test_readme_mode_table_matches_the_harness():
     # README's "Mode rules" table and harness.MODE_TABLE state the same rules.
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
-    start = lines.index("| mode | order cap | k range | `--engine` | `--input` | may be singular |")
+    start = lines.index("| mode | order cap | k range | `--engine` | `--probs` | `--input` | may be singular |")
     documented = {}
     for line in lines[start + 2:]:
         if not line.startswith("|"):
@@ -465,8 +495,11 @@ def test_readme_mode_table_matches_the_harness():
     assert documented == {
         mode: [
             str(row.cap),
-            "none" if row.first_k is None else f"{row.first_k}..n",
+            "none" if row.first_k is None else f"{row.first_k}..n" + "".join(
+                f", {row.first_k}..{k} at n = {n}" for n, k in (row.last_k or {}).items() if k < n
+            ),
             "yes" if row.engine else "no",
+            "yes" if row.probs else "no",
             "no" if row.parse is None else "yes",
             singular[row.singular],
         ]

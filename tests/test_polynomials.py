@@ -33,10 +33,14 @@ from supertrop import (
 from supertrop import polynomials
 from supertrop.matrices import adjoint, is_nonsingular
 from supertrop.polynomials import (
+    SYMBOLIC_KMAX,
     Poly,
     _claims_reports,
     _compiled,
     _exists_addend,
+    _exponents,
+    _poly_sums,
+    _variable_cells,
     unit_poly,
     variable,
     zero_poly,
@@ -47,9 +51,17 @@ from supertrop.rng import Xorshift64Star
 A = parse_matrix("2\n3t 0t\n1t 4t\n")
 
 
+def pack(grid):
+    """The monomial key of an exponent grid: exponent ``i`` in the nibble at
+    bits ``4i .. 4i + 3``."""
+    return sum(e << 4 * i for i, e in enumerate(grid))
+
+
 def sorted_terms(p):
-    """Terms in canonical order: by total degree, then lexicographically."""
-    return sorted(p.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+    """``(grid, tag)`` pairs in canonical order: by total degree, then
+    lexicographically by exponent grid."""
+    terms = [(_exponents(key, p.n), tag) for key, tag in p.terms.items()]
+    return sorted(terms, key=lambda item: (sum(item[0]), item[0]))
 
 
 def format_poly(p):
@@ -94,10 +106,10 @@ def evaluate_by_terms(p, A):
     flat = [s for row in A.rows for s in row]
     best_value = None
     best_tag = None
-    for exps, tag in p.terms.items():
+    for key, tag in p.terms.items():
         value = 0
         alive = True
-        for idx, e in enumerate(exps):
+        for idx, e in enumerate(_exponents(key, p.n)):
             if not e:
                 continue
             s = flat[idx]
@@ -119,10 +131,11 @@ def evaluate_by_terms(p, A):
 
 
 def exps(n, *pairs):
+    """The key of the monomial with exponent ``e`` at each 1-based ``(i, j, e)``."""
     grid = [0] * (n * n)
     for i, j, e in pairs:
         grid[(i - 1) * n + (j - 1)] = e
-    return tuple(grid)
+    return pack(grid)
 
 
 @dataclass(frozen=True)
@@ -145,7 +158,7 @@ class MuTuple:
                 exps[i * n + sigma[i]] += 1
         for j, image in zip(self.j_set, self.tau):
             exps[j * n + image] += 1
-        return tuple(exps)
+        return pack(exps)
 
 
 def tags_of(counts):
@@ -189,7 +202,7 @@ def alpha_by_permutations(n, k):
                 for pairs in choice:
                     for r, c in pairs:
                         exps[r * n + c] += 1
-                counts[tuple(exps)] += 1
+                counts[pack(exps)] += 1
     return Poly(n, tags_of(counts))
 
 
@@ -199,6 +212,7 @@ TERM_COUNTS = {
     2: [(2, 2, 2), (2, 2, 2)],
     3: [(6, 6, 6), (21, 18, 18), (21, 21, 6)],
     4: [(24, 24, 24), (348, 276, 264), (1584, 1128, 96), (2008, 2008, 24)],
+    5: [(120, 120, 120), (8610, 6540, 5880), (178960, 115590, 2280)],  # k <= SYMBOLIC_KMAX[5]
 }
 
 
@@ -220,6 +234,18 @@ class TestPolyArithmetic:
         p = Poly(2, {exps(2, (1, 1, 1)): 1})
         assert poly_mul(p, zero_poly(2)).terms == {}
         assert poly_add(p, zero_poly(2)) == p
+
+    def test_mul_refuses_an_exponent_that_could_carry(self):
+        # Keys hold 4 bits per exponent: a factor with an exponent above 7
+        # could carry into the next variable, so it is refused.
+        p = Poly(2, {exps(2, (1, 1, 7)): 1})
+        assert poly_mul(p, p).terms == {exps(2, (1, 1, 14)): 1}
+        for high in (8, 15):
+            q = Poly(2, {exps(2, (2, 2, high)): 1})
+            with pytest.raises(ValueError, match="exponent above 7"):
+                poly_mul(p, q)
+            with pytest.raises(ValueError, match="exponent above 7"):
+                poly_mul(q, unit_poly(2))
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -259,20 +285,34 @@ class TestBuilders:
 
     def test_caps_and_floors(self):
         with pytest.raises(OrderTooLarge):
-            build_alpha(5, 1)
+            build_alpha(6, 1)
         with pytest.raises(OrderTooLarge):
-            build_beta(5, 1)
+            build_beta(6, 1)
+        for k in (4, 5):  # above SYMBOLIC_KMAX[5]
+            with pytest.raises(OrderTooLarge):
+                build_alpha(5, k)
+            with pytest.raises(OrderTooLarge):
+                claim1_check(5, k)
         with pytest.raises(ValueError):
             build_beta(3, 0)  # needs the inverse determinant: not a polynomial
         with pytest.raises(ValueError):
             build_alpha(3, 4)
 
     def test_degree_invariant(self):
-        # Every monomial of alpha and beta has total degree exactly k(n-1).
-        for n in (2, 3, 4):
-            for k in range(1, n + 1):
+        # No key has a nibble above n or beyond the grid's n*n nibbles, so no
+        # exponent carries into the next.  Each key decodes to a grid of total
+        # degree exactly k(n-1) that packs back to it; at order 5, k = 3 that
+        # is checked on every 50th of its 294,550 keys (all of them take 2 s).
+        for n in (2, 3, 4, 5):
+            for k in range(1, SYMBOLIC_KMAX[n] + 1):
                 for p in (build_alpha(n, k), build_beta(n, k)):
-                    assert {sum(e) for e in p.terms} == {k * (n - 1)}, (n, k)
+                    nibbles = [f"{key:0{n * n}x}" for key in p.terms]
+                    assert {len(h) for h in nibbles} == {n * n}, (n, k)
+                    assert max(map(max, nibbles)) <= str(n), (n, k)
+                    keys = list(p.terms)[::50 if len(p) > 10_000 else 1]
+                    grids = [_exponents(key, n) for key in keys]
+                    assert {sum(e) for e in grids} == {k * (n - 1)}, (n, k)
+                    assert list(map(pack, grids)) == keys, (n, k)
 
     def test_coefficient_range(self):
         for n in (2, 3, 4):
@@ -290,20 +330,33 @@ class TestBuilders:
         assert key == exps(3, (1, 2, 1), (2, 1, 1), (3, 3, 1), (1, 3, 1), (3, 1, 1))
 
     def test_beta_equals_tuple_enumeration(self):
-        for n in range(1, 5):
-            for k in range(1, n + 1):
+        # At order 5 the enumeration stops at k = 2: k = 3 has 288,000 tuples.
+        for n in range(1, 6):
+            for k in range(1, (2 if n == 5 else n) + 1):
                 assert build_beta(n, k) == beta_by_tuples(n, k), (n, k)
 
     def test_alpha_equals_permutation_enumeration(self):
-        for n in range(1, 5):
-            for k in range(n + 1):
+        # Order 5 is built by the degree-cut DP; its k = 3 has 829,440 tuples.
+        for n in range(1, 6):
+            for k in range((2 if n == 5 else n) + 1):
                 assert build_alpha(n, k) == alpha_by_permutations(n, k), (n, k)
+
+    def test_degree_cut_keeps_every_k_up_to_kmax(self):
+        # The DP cut at kmax equals the full one for every k <= kmax and
+        # leaves every k above it empty.
+        for n in range(1, 6):
+            cells = _variable_cells(n)
+            full = _poly_sums(cells, n)
+            for kmax in range(n + 1):
+                cut = _poly_sums(cells, n, kmax)
+                assert cut[:kmax + 1] == full[:kmax + 1], (n, kmax)
+                assert cut[kmax + 1:] == [zero_poly(n)] * (n - kmax), (n, kmax)
 
     def test_term_counts(self):
         for n, counts in TERM_COUNTS.items():
             built = [
                 (len(build_alpha(n, k)), len(build_beta(n, k)), len(build_gamma(n, k)))
-                for k in range(1, n + 1)
+                for k in range(1, SYMBOLIC_KMAX[n] + 1)
             ]
             assert built == counts, n
 
@@ -373,7 +426,7 @@ class TestEvaluate:
             matrices = alphabet_matrices(900 + n, 30, n)
             for _ in range(40):
                 terms = {
-                    tuple(rng.next_below(3) for _ in range(n * n)): rng.next_below(2)
+                    pack(rng.next_below(3) for _ in range(n * n)): rng.next_below(2)
                     for _ in range(1 + rng.next_below(6))
                 }
                 p = Poly(n, terms)
