@@ -12,18 +12,21 @@ Three determinant engines with an identical output contract:
   on first use, with O(n 2^n) memory, so the inner loops of its row DPs do
   no bit arithmetic;
 * the assignment engine solves the max-weight perfect-matching problem on
-  the value grid with exact arithmetic, one shortest augmenting path at a
-  time against dual-feasible potentials.  Three drivers share that step:
-  the determinant augments every row from the empty matching (O(n^3));
-  the principal minors walk the subset lattice, each minor one augmentation
-  (O(m^2) at order m) from the minor one index smaller; the cofactors start
-  from the whole matrix's optimum, each at most one augmentation (O(n^2)).
+  the value grid with exact arithmetic, by Dijkstra searches for shortest
+  paths against dual-feasible potentials.  Three drivers share them: the
+  determinant augments every row from the empty matching (O(n^3)); the
+  principal minors walk the subset lattice, each minor one augmentation
+  (O(m^2) at order m) from the minor one index smaller, and skip every
+  subtree whose weak-duality bound (the row-then-column reduction of the
+  cost grid, O(n^2)) is strictly above the cheapest minor seen at each
+  order it reaches; the cofactors start from the whole matrix's optimum,
+  one search per column to completion, O(n^3) for all of them.
   Uniqueness of a minor's optimal permutation, and so its tangible/ghost
   tag, is read off the potentials it ends with (no cycle among the tight
   edges, an O(m^2) search).  That search runs for the determinant, for
-  each cofactor, and for at most one principal minor per order k: the
-  unique top minor of ``chi_k``, as the tags of the others cannot reach
-  the sum.
+  each cofactor but the n that a tangible determinant settles, and for at
+  most one principal minor per order k: the unique top minor of
+  ``chi_k``, as the tags of the others cannot reach the sum.
 
 One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
 three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
@@ -259,11 +262,12 @@ def _brute_sums(raw):
 # ---------------------------------------------------------------------------
 # assignment engine
 #
-# One step, :func:`_augment`, and three drivers of it: the determinant
-# (every row from the empty matching), the principal minors (the subset
-# lattice, one augmentation per minor) and the cofactors (from the whole
-# matrix's optimum, at most one augmentation per cofactor).  Costs are exact
-# ints or Fractions throughout.
+# One search, :func:`_dijkstra`, one update, :func:`_reroute`, and three
+# drivers of them: the determinant (every row augmented from the empty
+# matching), the principal minors (the subset lattice, one augmentation per
+# minor, subtrees cut by a dual bound) and the cofactors (from the whole
+# matrix's optimum, one search per column).  Costs are exact ints or
+# Fractions throughout.
 
 
 def _assignment_grid(raw):
@@ -283,22 +287,21 @@ def _assignment_grid(raw):
     return [[forbidden if e is None else hi - e[0] for e in row] for row in raw]
 
 
-def _augment(cost, u, v, row_of, col_of, cols, start):
-    """One shortest augmenting path from the free row ``start``, in place.
+def _dijkstra(cost, u, v, row_of, cols, start):
+    """Shortest paths from the row ``start`` over the reduced costs
+    ``cost[i][j] - u[i] - v[j]`` of the columns ``cols``: ``(dist, way,
+    scanned, end)``.
 
     ``u`` and ``v`` are row and column potentials, dual feasible on the
-    minor's edges (no reduced cost ``cost[i][j] - u[i] - v[j]`` is negative)
-    with every matched edge tight; ``row_of[j]`` is the row matched to column
-    ``j`` (-1 when free) and ``col_of[i]`` the column of row ``i``.  ``cols``
-    lists the minor's columns, at least one of them free; its rows are
-    ``start`` and the rows matched to those columns.
-
-    Dijkstra over the reduced costs finds the nearest free column at some
-    distance D; each scanned column and the row matched to it, at distance
-    d, then move by D - d, and ``start`` by D.  That keeps every reduced cost
-    non-negative, makes the whole path tight, and the matching flips along
-    it.  The distances start from ``start``'s own reduced costs, so no
-    "infinity" is needed.  O(m^2) on m columns, plus O(n) for the two
+    minor's edges (no reduced cost is negative) with every matched edge
+    tight; ``row_of[j]`` is the row matched to column ``j``, -1 when free.
+    Columns are popped nearest first; a popped matched column ``j`` extends
+    its distance ``dist[j]`` through its row ``row_of[j]``.  The search stops
+    at the first free column it pops, returned as ``end``; when every column
+    of ``cols`` is matched it pops them all and ``end`` is ``None``.
+    ``scanned`` lists the popped matched columns, and ``way[j]`` is the row
+    before column ``j`` on its shortest path.  The distances start from ``start``'s own reduced costs,
+    so no "infinity" is needed.  O(m^2) on m columns, plus O(n) for the
     column-indexed lists on a grid of order n.
     """
     row = cost[start]
@@ -309,11 +312,11 @@ def _augment(cost, u, v, row_of, col_of, cols, start):
     way = [start] * len(cost)
     todo = list(cols)
     scanned = []
-    while True:
+    while todo:
         j1 = min(todo, key=dist.__getitem__)
         i1 = row_of[j1]
         if i1 < 0:
-            break
+            return dist, way, scanned, j1
         todo.remove(j1)
         scanned.append(j1)
         row = cost[i1]
@@ -323,18 +326,44 @@ def _augment(cost, u, v, row_of, col_of, cols, start):
             if d < dist[j]:
                 dist[j] = d
                 way[j] = i1
-    top = dist[j1]
+    return dist, way, scanned, None
+
+
+def _reroute(u, v, row_of, col_of, dist, way, scanned, start, end):
+    """Rematch along the shortest path from the free row ``start`` to the
+    free column ``end`` that :func:`_dijkstra` found, in place.
+
+    With ``D = dist[end]``, ``start`` moves by D, and each scanned column
+    ``j`` and the row matched to it by ``max(0, D - dist[j])``: only the
+    columns popped before ``end`` can move, as popping is in order of
+    distance, so a search that went on past ``end`` serves as well.  That
+    keeps every reduced cost non-negative and makes the whole path tight,
+    and the matching flips along it.  O(n).
+    """
+    top = dist[end]
     u[start] += top
     for j in scanned:
         lift = top - dist[j]
-        u[row_of[j]] += lift
-        v[j] -= lift
+        if lift > 0:
+            u[row_of[j]] += lift
+            v[j] -= lift
     while True:
-        i = way[j1]
-        row_of[j1] = i
-        col_of[i], j1 = j1, col_of[i]
+        i = way[end]
+        row_of[end] = i
+        col_of[i], end = end, col_of[i]
         if i == start:
             return
+
+
+def _augment(cost, u, v, row_of, col_of, cols, start):
+    """One shortest augmenting path from the free row ``start`` to a free
+    column of ``cols``, in place: :func:`_dijkstra` then :func:`_reroute`.
+    ``col_of[i]`` is the column of row ``i``; ``cols`` lists the minor's
+    columns, at least one of them free, and its rows are ``start`` and the
+    rows matched to those columns.  O(m^2) on m columns.
+    """
+    dist, way, scanned, end = _dijkstra(cost, u, v, row_of, cols, start)
+    _reroute(u, v, row_of, col_of, dist, way, scanned, start, end)
 
 
 def _best_assignment(cost):
@@ -353,55 +382,109 @@ def _best_assignment(cost):
     return state
 
 
-def _principal_states(cost):
+def _principal_states(cost, bounded=False):
     """The principal-minor driver: ``(S, state)`` for every non-empty index
-    tuple ``S``, ascending, with ``state`` optimal for the minor on ``S``.
+    tuple ``S``, with ``state`` optimal for the minor on ``S``; with
+    ``bounded``, only for the minors that can still be the cheapest of
+    their order.
 
-    The subset lattice is walked depth first.  ``S + (t,)`` with ``t > max S``
-    copies the state of ``S``, sets ``v[t]`` and then ``u[t]`` to the largest
-    values that keep every reduced cost into column ``t`` and out of row
-    ``t`` non-negative, and augments once from row ``t`` to the one free
-    column, ``t``.  One O(m^2) augmentation per minor of order m.
+    The subset lattice is walked depth first, over the indices sorted by
+    their bound ``g`` (below) and each minor's children smallest ``g``
+    first, so ``S`` lists its indices in that order.  The child ``S + (t,)``
+    copies the state of ``S``, sets ``v[t]`` and then ``u[t]`` to the
+    largest values that keep every reduced cost into column ``t`` and out
+    of row ``t`` non-negative, and augments once from row ``t`` to the one
+    free column, ``t``: one O(m^2) augmentation per minor of order m.  A
+    minor's cost is the sum of its potentials, as every matched edge is
+    tight.  The augmentation moves each scanned column and its row by
+    opposite amounts and only ``u[t]`` by the path's length, so the child
+    costs its parent's cost plus its final ``u[t] + v[t]``.
+
+    The bound is the row-then-column reduction dual of the whole grid,
+    ``u_i = min_j cost[i][j]`` and ``v_j = min_i (cost[i][j] - u_i)``: it is
+    feasible for every minor, so a minor on ``T`` costs at least the sum of
+    ``g_i = u_i + v_i`` over ``T`` (weak duality).  A minor below ``T`` of
+    order k' adds k' - |T| indices after ``T``'s last position, so it costs
+    at least that sum plus the k' - |T| smallest ``g`` there, the next ones
+    in the walk.  A bounded walk skips ``T``, and its whole subtree, when
+    that bound is strictly above the least cost seen at every order k' it
+    reaches; an order with no minor seen yet, or a bound equal to the least
+    cost (a tie makes a ghost), keeps ``T``.  Its later siblings are then
+    skipped too, as each of their bounds is at least ``T``'s.
 
     Each yielded state is a fresh copy that nothing changes afterwards (the
-    minors above it copy it in turn), so a caller may keep any of them.
+    minors below it copy it in turn), so a caller may keep any of them.
     """
     n = len(cost)
-    stack = [((), [0] * n, [0] * n, [-1] * n, [-1] * n)]
+    low = [min(row) for row in cost]
+    g = [low[i] + min([row[i] - b for row, b in zip(cost, low)]) for i in range(n)]
+    order = sorted(range(n), key=g.__getitem__)
+    prefix = list(itertools.accumulate([g[t] for t in order], initial=0))
+    least = [None] * (n + 1)  # least[k]: the least cost of a minor of order k seen so far
+    # Each entry: a minor S (of bound sum ``floor`` and cost ``paid``), its
+    # state, and the position in ``order`` of the next child to visit.
+    stack = [((), 0, 0, ([0] * n, [0] * n, [-1] * n, [-1] * n), 0)]
     while stack:
-        S, u, v, row_of, col_of = stack.pop()
-        for t in range(S[-1] + 1 if S else 0, n):
-            T = S + (t,)
-            cu, cv, crow, ccol = u[:], v[:], row_of[:], col_of[:]
-            cv[t] = min([cost[i][t] - cu[i] for i in S], default=0)
-            row = cost[t]
-            cu[t] = min([row[j] - cv[j] for j in T])
-            _augment(cost, cu, cv, crow, ccol, T, t)
-            yield T, (cu, cv, crow, ccol)
-            if t + 1 < n:
-                stack.append((T, cu, cv, crow, ccol))
+        S, floor, paid, state, p = stack.pop()
+        t = order[p]
+        m = len(S) + 1
+        if bounded:
+            # The bound at order m + d adds the d smallest g after position p.
+            floor_t = floor + g[t] - prefix[p + 1]
+            for best, ahead in zip(least[m:m + n - p], prefix[p + 1:]):
+                if best is None or floor_t + ahead <= best:
+                    break
+            else:
+                continue
+        if p + 1 < n:
+            stack.append((S, floor, paid, state, p + 1))
+        T = S + (t,)
+        u, v, row_of, col_of = state
+        u, v, row_of, col_of = child = u[:], v[:], row_of[:], col_of[:]
+        v[t] = min([cost[i][t] - u[i] for i in S], default=0)
+        row = cost[t]
+        u[t] = min([row[j] - v[j] for j in T])
+        _augment(cost, u, v, row_of, col_of, T, t)
+        yield T, child
+        paid_t = paid + u[t] + v[t]
+        if least[m] is None or paid_t < least[m]:
+            least[m] = paid_t
+        if p + 1 < n:
+            stack.append((T, floor + g[t], paid_t, child, p + 1))
 
 
-def _cofactor_state(cost, state, i, j):
-    """The cofactor driver: from ``state``, optimal for the whole grid, the
-    ``(state, rows, cols)`` of the minor without row ``i`` and column ``j``,
-    with a state optimal for that minor.
+def _cofactor_states(cost, state):
+    """The cofactor driver: from ``state``, optimal for the whole grid,
+    ``(i, j, minor)`` for every row ``i`` and column ``j``, column by column,
+    where ``minor`` is ``(state, rows, cols)`` for the minor without row
+    ``i`` and column ``j``, with a state optimal for it.
 
     Deleting a row and a column keeps the potentials feasible.  If row ``i``
-    is matched to column ``j`` the rest of the matching is already optimal;
-    otherwise the row matched to ``j`` loses its column, the column of row
-    ``i`` comes free, and one O(n^2) augmentation from that row rematches.
+    is matched to column ``j`` the rest of the matching is already optimal.
+    Otherwise the row ``r`` matched to ``j`` loses its column and the column
+    ``c`` of row ``i`` comes free, and the minor needs one shortest path
+    from ``r`` to ``c``.  One :func:`_dijkstra` per column ``j``, from ``r``
+    over the other n - 1 columns, gives all of them: every column is
+    matched, so it runs to completion, and the columns it pops before ``c``
+    and their distances are those of the minor's own search, which stops at
+    ``c``, since it reaches row ``i`` only through ``c``.  So each cofactor
+    is a copy and a :func:`_reroute`, O(n), and all n^2 cost O(n^3).
+    The ``rows`` and ``cols`` lists are shared between minors; callers
+    only read them.
     """
     n = len(cost)
-    rows = [r for r in range(n) if r != i]
-    cols = [c for c in range(n) if c != j]
     u, v, row_of, col_of = state
-    if col_of[i] == j:
-        return state, rows, cols
-    u, v, row_of, col_of = u[:], v[:], row_of[:], col_of[:]
-    row_of[col_of[i]] = -1
-    _augment(cost, u, v, row_of, col_of, cols, row_of[j])
-    return (u, v, row_of, col_of), rows, cols
+    without = [[x for x in range(n) if x != y] for y in range(n)]
+    for j, cols in enumerate(without):
+        r = row_of[j]
+        dist, way, scanned, _ = _dijkstra(cost, u, v, row_of, cols, r)
+        for i, rows in enumerate(without):
+            if i == r:
+                yield i, j, (state, rows, cols)
+                continue
+            minor = u[:], v[:], row_of[:], col_of[:]
+            _reroute(*minor, dist, way, scanned, r, col_of[i])
+            yield i, j, (minor, rows, cols)
 
 
 def _has_cycle(succ):
@@ -490,33 +573,49 @@ def _assignment_table(A):
 
 
 def _assignment_cofactors(A):
-    """The raw determinant and raw cofactor grid of ``A``: every cofactor at
-    most one augmentation from the solve kept on ``A``."""
+    """The raw determinant and raw cofactor grid of ``A``, from the solve
+    kept on ``A`` and one :func:`_dijkstra` per column
+    (:func:`_cofactor_states`).
+
+    A tangible determinant has a unique optimum with tangible entries, and
+    the minor without row ``i`` and its column ``c`` inherits both: a rival
+    there, with ``(i, c)`` added back, would rival the whole optimum.  So
+    those n cofactors are the determinant less ``a[i][c]``, tangible, with
+    no search.
+    """
     raw, cost, state, d = _assignment_table(A)
     n = A.n
-    return d, [
-        [_minor_value(raw, cost, *_cofactor_state(cost, state, i, j)) for j in range(n)]
-        for i in range(n)
-    ]
+    col_of = state[3]
+    tangible_det = d is not None and d[1]
+    cof = [[None] * n for _ in range(n)]
+    for i, j, minor in _cofactor_states(cost, state):
+        if tangible_det and col_of[i] == j:
+            cof[i][j] = (d[0] - raw[i][j][0], 1)
+        else:
+            cof[i][j] = _minor_value(raw, cost, *minor)
+    return d, cof
 
 
 def _assignment_sums(raw):
     """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
-    ``raw``, one augmentation per minor from :func:`_principal_states`.
+    ``raw``, one augmentation per minor that the bounded walk of
+    :func:`_principal_states` solves.
 
     Only the top minors of an order decide its sum: two tied at the top give
     a ghost, a single one passes its own tag on, and every lower minor's tag
-    is lost.  So the walk reads each minor's value and entry tags off its
-    optimum (:func:`_optimum`, no search) and keeps, per order, the best
-    value, whether it is tied, and the winning ``(S, state)``.  The cycle
-    search of :func:`_minor_value` then runs only for an order whose top
-    minor is unique with tangible entries along its optimum: at most one
-    search per order.  Addition is associative and commutative, so this is
-    exactly the :func:`_radd` fold of every minor.
+    is lost.  So the walk may skip any minor that costs strictly more than
+    one already seen at its order (a minor's value is its order times the
+    grid's largest value, less its cost), and it reads each minor it solves
+    off its optimum (:func:`_optimum`, no search), keeping, per order, the
+    best value, whether it is tied, and the winning ``(S, state)``.  The
+    cycle search of :func:`_minor_value` then runs only for an order whose
+    top minor is unique with tangible entries along its optimum: at most
+    one search per order.  Addition is associative and commutative, so this
+    is exactly the :func:`_radd` fold of every minor.
     """
     cost = _assignment_grid(raw)
     top = [None] * (len(raw) + 1)  # top[k]: [value, tag (0 once tied), S, state] of the best
-    for S, state in _principal_states(cost):
+    for S, state in _principal_states(cost, bounded=True):
         best = _optimum(raw, state[3], S)
         if best is None:
             continue

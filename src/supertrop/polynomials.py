@@ -276,18 +276,49 @@ def build_gamma(n: int, k: int) -> Poly:
     return Poly(n, {key: tag for key, tag in beta.terms.items() if tag})
 
 
+def _nibbles(key):
+    """``(support, indices)`` of the monomial ``key``, read nibble by nibble:
+    ``support`` has bit ``i`` set for each flat entry index ``i`` with a
+    non-zero exponent, and ``indices`` lists each such ``i`` as often as its
+    exponent."""
+    support = 0
+    indices = []
+    i = 0
+    while key:
+        e = key & 15
+        if e:
+            support |= 1 << i
+            indices += [i] * e
+        key >>= _NIBBLE
+        i += 1
+    return support, tuple(indices)
+
+
 def _compiled(p):
-    """The terms of ``p`` as ``(tag, support, indices)``: ``support``
-    has bit ``i`` set for each flat entry index ``i`` with a non-zero
-    exponent, and ``indices`` lists each such ``i`` as often as its exponent.
-    Built on the first call and kept on ``p``."""
+    """The terms of ``p`` as ``(tag, support, indices)`` (see :func:`_nibbles`).
+
+    Each key is cut into its n row fields of n nibbles, and each distinct
+    field is read once per polynomial, so a term costs n masks and at most
+    n joins.  Built on the first call and kept on ``p``.
+    """
     compiled = p._compiled
     if compiled is None:
+        width = _NIBBLE * p.n
+        masks = [((1 << width) - 1) << width * r for r in range(p.n)]
+        read = {}
         compiled = []
         for key, tag in p.terms.items():
-            exps = _exponents(key, p.n)
-            support = sum(1 << i for i, e in enumerate(exps) if e)
-            compiled.append((tag, support, tuple(i for i, e in enumerate(exps) for _ in range(e))))
+            support = 0
+            indices = ()
+            for mask in masks:
+                field = key & mask
+                if field:
+                    part = read.get(field)
+                    if part is None:
+                        part = read[field] = _nibbles(field)
+                    support |= part[0]
+                    indices += part[1]
+            compiled.append((tag, support, indices))
         compiled = p._compiled = tuple(compiled)
     return compiled
 

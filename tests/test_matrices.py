@@ -56,7 +56,7 @@ def assert_optimal_and_tight(raw, cost, state, rows, cols):
     attains it with tangible entries only)."""
     u, v, row_of, col_of = state
     rows, cols = list(rows), list(cols)
-    assert sorted(col_of[i] for i in rows) == cols
+    assert sorted(col_of[i] for i in rows) == sorted(cols)
     assert all(row_of[col_of[i]] == i for i in rows)
     assert all(cost[i][j] - u[i] - v[j] >= 0 for i in rows for j in cols)
     totals = {}
@@ -83,6 +83,18 @@ def count_augmentations(monkeypatch):
     monkeypatch.setattr(
         matrices, "_augment", lambda cost, u, v, row_of, col_of, cols, start:
         sizes.append(len(cols)) or real(cost, u, v, row_of, col_of, cols, start)
+    )
+    return sizes
+
+
+def count_dijkstras(monkeypatch):
+    """A list that gains the number of columns of every shortest-path
+    search, each augmentation's included."""
+    sizes = []
+    real = matrices._dijkstra
+    monkeypatch.setattr(
+        matrices, "_dijkstra", lambda cost, u, v, row_of, cols, start:
+        sizes.append(len(cols)) or real(cost, u, v, row_of, cols, start)
     )
     return sizes
 
@@ -155,20 +167,21 @@ class TestDeterminants:
         assert outcomes == {"eps", 0, 1}
 
     def test_auto_is_the_kernel_above_order_9(self, monkeypatch):
-        # ``auto`` runs no augmentation at any order, and its det, adjoint
-        # and char_poly equal the assignment engine's minor by minor.
-        sizes = count_augmentations(monkeypatch)
+        # ``auto`` runs no shortest-path search at any order, and its det,
+        # adjoint and char_poly equal the assignment engine's minor by minor.
+        sizes = count_dijkstras(monkeypatch)
+        solved = iter([346, 492, 737, 632])  # of 1,023 and 2,047 principal minors
         for n in (10, 11):
             for M in seeded_matrices(4000 + n, 2, n, bound=3):
                 auto = (det(M), adjoint(M), char_poly(M))
                 assert sizes == [], M
                 engine = "assignment"
                 assert auto == (det(M, engine), adjoint(M, engine), char_poly(M, engine)), M
-                # One path per row for the determinant, one per cofactor off
-                # the optimum and one per non-empty principal minor.
-                expected = [n] * n + [n - 1] * (n * n - n)
-                expected += [len(S) for k in range(1, n + 1) for S in itertools.combinations(range(n), k)]
-                assert sorted(sizes) == sorted(expected), M
+                # One path per row for the determinant, one search per column
+                # for the cofactors, and one path per principal minor that
+                # the bounded walk solves.
+                assert sizes[:2 * n] == [n] * n + [n - 1] * n, M
+                assert len(sizes) - 2 * n == next(solved), M
                 sizes.clear()
 
     def test_engine_equivalence_seeded(self):
@@ -305,8 +318,10 @@ def embed_cofactor(F, matched):
 
 class TestWarmStartedDrivers:
     """The assignment engine's principal-minor and cofactor drivers: one
-    augmentation per minor from a neighbouring optimum, checked against
-    brute force and against every optimal permutation of every minor."""
+    augmentation per principal minor from its parent's optimum, with
+    subtrees cut by a dual bound, and one search per cofactor column from
+    the whole optimum, checked against brute force and against every
+    optimal permutation of every minor."""
 
     FIVE_CYCLE = TestAssignmentCertificate.FIVE_CYCLE
     EPS_RIVAL = TestAssignmentCertificate.EPS_RIVAL
@@ -376,7 +391,7 @@ class TestWarmStartedDrivers:
             M = embed_principal(F, at, filler)
             raw = matrices._raw(M.rows)
             cost = matrices._assignment_grid(raw)
-            minors = dict(matrices._principal_states(cost))
+            minors = {tuple(sorted(S)): state for S, state in matrices._principal_states(cost)}
             assert matrices._minor_value(raw, cost, minors[at], at, at) == (expected.value, expected.tag)
             assert char_poly(M, engine="assignment") == char_poly(M, engine="brute"), M
 
@@ -387,10 +402,14 @@ class TestWarmStartedDrivers:
         M = embed_cofactor(F, matched)
         n = M.n
         raw, cost, state, _ = matrices._assignment_table(M)
-        sizes = count_augmentations(monkeypatch)
-        value = matrices._minor_value(raw, cost, *matrices._cofactor_state(cost, state, n - 1, n - 1))
+        sizes = count_dijkstras(monkeypatch)
+        minors = {(i, j): minor for i, j, minor in matrices._cofactor_states(cost, state)}
+        # One search per column, whether or not the optimum pairs the last
+        # row and column; only then does the cofactor keep the whole state.
+        assert sizes == [n - 1] * n
+        assert (minors[n - 1, n - 1][0] is state) == matched
+        value = matrices._minor_value(raw, cost, *minors[n - 1, n - 1])
         assert value == (expected.value, expected.tag)
-        assert sizes == ([] if matched else [n - 1])
         assert cofactor(M, n, n, engine="assignment") == expected == cofactor(M, n, n, engine="brute")
         assert adjoint(M, engine="assignment") == adjoint(M, engine="brute"), M
 
@@ -403,33 +422,81 @@ class TestWarmStartedDrivers:
                     raw, cost, state, _ = matrices._assignment_table(M)
                     for S, minor in matrices._principal_states(cost):
                         assert_optimal_and_tight(raw, cost, minor, S, S)
-                    for i in range(n):
-                        for j in range(n):
-                            assert_optimal_and_tight(raw, cost, *matrices._cofactor_state(cost, state, i, j))
+                    cofactors = list(matrices._cofactor_states(cost, state))
+                    assert [(i, j) for i, j, _ in cofactors] == [(i, j) for j in range(n) for i in range(n)]
+                    for i, j, (minor, rows, cols) in cofactors:
+                        assert (rows, cols) == ([x for x in range(n) if x != i], [x for x in range(n) if x != j])
+                        assert_optimal_and_tight(raw, cost, minor, rows, cols)
 
     def test_augmentation_counts(self, monkeypatch):
-        sizes = count_augmentations(monkeypatch)
+        augmentations = count_augmentations(monkeypatch)
+        sizes = count_dijkstras(monkeypatch)
+        solved = iter([
+            1, 1, 1, 1, 2, 2, 2, 2, 6, 3, 4, 6, 11, 8, 8, 8,
+            17, 9, 18, 14, 48, 52, 42, 44, 16, 72, 64, 56,
+        ])
         for n in range(1, 8):
             for M in seeded_matrices(8600 + n, 4, n, 1, self.SPARSE):
-                char_poly(M, engine="assignment")
-                # Exactly one per non-empty principal subset, of its order.
-                assert sorted(sizes) == sorted(
-                    k for k in range(1, n + 1) for _ in itertools.combinations(range(n), k)
-                ), M
+                cost = matrices._assignment_grid(matrices._raw(M.rows))
+                # Unbounded, exactly one per non-empty principal subset, of
+                # its order.
+                walked = [frozenset(S) for S, _ in matrices._principal_states(cost)]
+                assert len(set(walked)) == len(walked) == 2 ** n - 1, M
+                assert sorted(sizes) == sorted(augmentations) == sorted(map(len, walked)), M
                 sizes.clear()
+                # Bounded, a pinned number of them.
+                char_poly(M, engine="assignment")
+                assert len(sizes) == next(solved), M
+                sizes.clear()
+                augmentations.clear()
+                # The cofactors: one search per column, over the other n - 1
+                # columns, and no augmentation.
                 raw, cost, state, _ = matrices._assignment_table(M)
                 sizes.clear()
-                col_of = state[3]
-                for i in range(n):
-                    for j in range(n):
-                        matrices._minor_value(raw, cost, *matrices._cofactor_state(cost, state, i, j))
-                        # At most one per cofactor: none when the optimum
-                        # already pairs the deleted row and column.
-                        assert sizes == ([] if col_of[i] == j else [n - 1]), (M, i, j)
-                        sizes.clear()
+                augmentations.clear()
                 adjoint(M, engine="assignment")
-                assert len(sizes) == n * n - n <= n * n, M
+                assert sizes == [n - 1] * n and augmentations == [], M
                 sizes.clear()
+
+    def test_a_tie_at_the_bound_is_solved(self):
+        # The reduction dual of this cost grid is zero, so the bound of {1}
+        # equals the cost of {0}, already seen: only a non-strict bound
+        # solves {1}, and its tie makes chi_1 a ghost.
+        M = parse_matrix("2\n0t -5t\n-5t 0t\n")
+        cost = matrices._assignment_grid(matrices._raw(M.rows))
+        assert [S for S, _ in matrices._principal_states(cost, bounded=True)] == [(0,), (0, 1), (1,)]
+        assert char_poly(M, engine="assignment") == char_poly(M, engine="brute")
+        assert char_poly(M, engine="assignment").coeffs[1] == ghost(0)
+
+    def test_a_tangible_determinant_settles_its_matched_cofactors(self, monkeypatch):
+        # A tangible determinant has a unique optimum with tangible entries,
+        # and so has the minor without row i and its column: those n
+        # cofactors run neither _minor_value nor a cycle search.  Searching
+        # them too would add 82 searches to these 737.
+        searches = count_searches(monkeypatch)
+        read = []
+        value = matrices._minor_value
+        monkeypatch.setattr(
+            matrices, "_minor_value", lambda raw, cost, state, rows, cols:
+            read.append((rows, cols)) or value(raw, cost, state, rows, cols)
+        )
+        tags = set()
+        total = 0
+        for n in range(2, 7):
+            for M in seeded_matrices(8900 + n, 10, n, 3, (1, 0, 0)):
+                d = det(M, "assignment")
+                tags.add(d.is_tangible)
+                read.clear()
+                searches.clear()
+                assert adjoint(M, "assignment") == adjoint(M), M
+                col_of = M._assign[2][3]
+                deleted = [(min(set(range(n)) - set(rows)), min(set(range(n)) - set(cols))) for rows, cols in read]
+                matched = [(i, j) for i, j in deleted if col_of[i] == j]
+                assert (len(read), len(matched)) == ((n * n - n, 0) if d.is_tangible else (n * n, n)), M
+                assert set(searches) <= {n - 1}, M
+                total += len(searches)
+        assert tags == {True, False}
+        assert total == 737
 
     def test_one_solve_per_accepted_draw(self, monkeypatch):
         # is_nonsingular's solve is kept on the matrix, and the check's

@@ -418,6 +418,20 @@ class TestEvaluate:
                 for p in polys:
                     assert evaluate(p, M) == evaluate_by_terms(p, M), (p, M)
 
+    def test_compiled_reads_the_key_fields(self):
+        # The compiled form of every built polynomial up to order 4 equals
+        # the one read off each key's decoded n*n exponent grid.
+        for n in range(1, 5):
+            polys = [build_alpha(n, k) for k in range(n + 1)]
+            polys += [build(n, k) for build in (build_beta, build_gamma) for k in range(1, n + 1)]
+            for p in polys:
+                expected = []
+                for key, tag in p.terms.items():
+                    exps = _exponents(key, n)
+                    support = sum(1 << i for i, e in enumerate(exps) if e)
+                    expected.append((tag, support, tuple(i for i, e in enumerate(exps) for _ in range(e))))
+                assert _compiled(p) == tuple(expected), p
+
     def test_hand_built_coefficients(self):
         # Random tags, ghost ones included, on random exponent grids with
         # exponents up to 2, which the builders never make.
