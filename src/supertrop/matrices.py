@@ -20,13 +20,17 @@ Three determinant engines with an identical output contract:
   subtree whose weak-duality bound (the row-then-column reduction of the
   cost grid, O(n^2)) is strictly above the cheapest minor seen at each
   order it reaches; the cofactors start from the whole matrix's optimum,
-  one search per column to completion, O(n^3) for all of them.
-  Uniqueness of a minor's optimal permutation, and so its tangible/ghost
-  tag, is read off the potentials it ends with (no cycle among the tight
-  edges, an O(m^2) search).  That search runs for the determinant, for
-  each cofactor but the n that a tangible determinant settles, and for at
-  most one principal minor per order k: the unique top minor of
-  ``chi_k``, as the tags of the others cannot reach the sum.
+  one search per column to completion.  Uniqueness of a minor's optimal
+  permutation, and so its tangible/ghost tag, is read off the potentials
+  it ends with (no cycle among the tight edges, an O(m^2) search).  That
+  search runs for the determinant, for at most one principal minor per
+  order k (the unique top minor of ``chi_k``, as the tags of the others
+  cannot reach the sum), and for every cofactor of a ghost or eps
+  determinant, O(n^4) in all.  A tangible determinant's optimum is
+  unique, so each cofactor's optima are it flipped along a shortest path
+  of its column's search, and all n^2 cofactors are read off the n
+  shortest-path trees (value, eps and tag from the path, uniqueness from
+  counting the tight predecessors of each column on it), O(n^3) in all.
 
 One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
 three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
@@ -52,6 +56,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 
 from .errors import InternalError, OrderTooLarge, Singular
 from .scalars import EPS, Scalar, mul, ghost_surpasses, parse_grid, parse_scalar, tangible
@@ -299,10 +304,11 @@ def _dijkstra(cost, u, v, row_of, cols, start):
     its distance ``dist[j]`` through its row ``row_of[j]``.  The search stops
     at the first free column it pops, returned as ``end``; when every column
     of ``cols`` is matched it pops them all and ``end`` is ``None``.
-    ``scanned`` lists the popped matched columns, and ``way[j]`` is the row
-    before column ``j`` on its shortest path.  The distances start from ``start``'s own reduced costs,
-    so no "infinity" is needed.  O(m^2) on m columns, plus O(n) for the
-    column-indexed lists on a grid of order n.
+    ``scanned`` lists the popped matched columns in pop order, and
+    ``way[j]`` is the row before column ``j`` on its shortest path; a column
+    outside ``cols`` keeps distance 0.  The distances start from
+    ``start``'s own reduced costs, so no "infinity" is needed.  O(m^2) on m
+    columns, plus O(n) for the column-indexed lists on a grid of order n.
     """
     row = cost[start]
     base = u[start]
@@ -468,9 +474,12 @@ def _cofactor_states(cost, state):
     matched, so it runs to completion, and the columns it pops before ``c``
     and their distances are those of the minor's own search, which stops at
     ``c``, since it reaches row ``i`` only through ``c``.  So each cofactor
-    is a copy and a :func:`_reroute`, O(n), and all n^2 cost O(n^3).
-    The ``rows`` and ``cols`` lists are shared between minors; callers
-    only read them.
+    is a copy and a :func:`_reroute`, O(n), and all n^2 states cost O(n^3);
+    reading each with :func:`_minor_value` makes O(n^4).  The cofactors of
+    a tangible determinant skip the states and read the same searches'
+    trees directly (:func:`_assignment_cofactors`); these states serve a
+    ghost or eps one.  The ``rows`` and ``cols`` lists are shared between
+    minors; callers only read them.
     """
     n = len(cost)
     u, v, row_of, col_of = state
@@ -532,7 +541,9 @@ def _minor_value(raw, cost, state, rows, cols):
     ``state`` optimal for it: ``None`` (eps) when the optimum takes an eps
     entry, else its value, with the tags along it unless a second
     permutation ties it.  The assignment engine runs it for the determinant,
-    for each cofactor, and for at most one principal minor per order.
+    for at most one principal minor per order, and for each cofactor of a
+    ghost or eps determinant; a tangible determinant's cofactors need none
+    (:func:`_assignment_cofactors`).
 
     Every optimal permutation of the minor is tight under any optimal dual
     of it (complementary slackness), so a rival differs from the matching by
@@ -574,25 +585,61 @@ def _assignment_table(A):
 
 def _assignment_cofactors(A):
     """The raw determinant and raw cofactor grid of ``A``, from the solve
-    kept on ``A`` and one :func:`_dijkstra` per column
-    (:func:`_cofactor_states`).
+    kept on ``A`` and one :func:`_dijkstra` per column.
 
-    A tangible determinant has a unique optimum with tangible entries, and
-    the minor without row ``i`` and its column ``c`` inherits both: a rival
-    there, with ``(i, c)`` added back, would rival the whole optimum.  So
-    those n cofactors are the determinant less ``a[i][c]``, tangible, with
-    no search.
+    A ghost or eps determinant reads each of the n^2 minors of
+    :func:`_cofactor_states` with :func:`_minor_value`, O(n^4) in all.
+
+    A tangible determinant has a unique optimum ``sigma`` with tangible
+    entries, and column ``j``'s search alone, from ``r = sigma^-1(j)``,
+    gives all n cofactors of column ``j``: no copy, reroute or cycle
+    search.  The minor without row ``i`` and column ``j`` keeps ``sigma``
+    but for ``(r, j)`` and ``(i, c)``, ``c = sigma(i)``, and its optima are
+    exactly that matching flipped along a shortest path from ``r`` to
+    ``c``: a rival that also turned a cycle would turn one of zero reduced
+    cost, which would rival ``sigma`` itself.  So the minor costs
+    ``cost(sigma) - cost[r][j] - cost[i][c] + u[r] + v[c] + dist[c]``, a
+    value of ``det - a[r][j] - u[r] + u[i] - dist[c]``; it is eps iff the
+    path takes an eps entry (then, and only then, it costs at least the
+    grid's ``forbidden``); and it is tangible iff every entry the path adds
+    is tangible and the path is the only shortest one.  That holds iff
+    every column on the path has exactly one tight predecessor row, and a
+    column's path is its ``way`` predecessor's path and one edge, so one
+    pass over the columns in pop order tags them all.  Each row sits at
+    its column's distance (``r`` at 0), and the tight rows into a column
+    are counted over every row after the search: two columns at equal
+    distance joined by a tight edge pop in either order, so the relaxation
+    alone can miss the later one.  Row ``i``, absent from the minor, is
+    never a tight predecessor on the path to ``c``, as it would close a
+    cycle of zero reduced cost.  O(n^2) per column, O(n^3) in all.
     """
     raw, cost, state, d = _assignment_table(A)
     n = A.n
-    col_of = state[3]
-    tangible_det = d is not None and d[1]
     cof = [[None] * n for _ in range(n)]
-    for i, j, minor in _cofactor_states(cost, state):
-        if tangible_det and col_of[i] == j:
-            cof[i][j] = (d[0] - raw[i][j][0], 1)
-        else:
+    if d is None or not d[1]:
+        for i, j, minor in _cofactor_states(cost, state):
             cof[i][j] = _minor_value(raw, cost, *minor)
+        return d, cof
+    u, v, row_of, col_of = state
+    by_col = list(zip(*cost))
+    for j in range(n):
+        r = row_of[j]
+        dist, way, scanned, _ = _dijkstra(cost, u, v, row_of, [x for x in range(n) if x != j], r)
+        # level[p]: row p's distance (its column's; r's is dist[j] = 0) less u[p]
+        level = [dist[c] - w for c, w in zip(col_of, u)]
+        tags = [None] * n  # tags[x]: None if the path to x takes eps, else its tag
+        tags[j] = 1
+        for x in scanned:
+            p = way[x]
+            t = tags[col_of[p]]
+            e = raw[p][x]
+            if t is not None and e is not None:
+                # The tight rows into x: its own, way[x], and any rival.
+                tags[x] = t & e[1] and int(list(map(operator.add, by_col[x], level)).count(dist[x] + v[x]) == 2)
+        base = d[0] - raw[r][j][0] - u[r]
+        for i, c in enumerate(col_of):
+            if tags[c] is not None:
+                cof[i][j] = (base + u[i] - dist[c], tags[c])
     return d, cof
 
 

@@ -469,10 +469,11 @@ class TestWarmStartedDrivers:
         assert char_poly(M, engine="assignment").coeffs[1] == ghost(0)
 
     def test_a_tangible_determinant_settles_its_matched_cofactors(self, monkeypatch):
-        # A tangible determinant has a unique optimum with tangible entries,
-        # and so has the minor without row i and its column: those n
-        # cofactors run neither _minor_value nor a cycle search.  Searching
-        # them too would add 82 searches to these 737.
+        # A tangible determinant reads all n^2 cofactors off its n column
+        # searches, with no reroute, no _minor_value and no cycle search; a
+        # ghost one reads every minor, the n matched ones too, from a copy
+        # of the state rerouted for each of the other n^2 - n.
+        sizes = count_dijkstras(monkeypatch)
         searches = count_searches(monkeypatch)
         read = []
         value = matrices._minor_value
@@ -480,23 +481,74 @@ class TestWarmStartedDrivers:
             matrices, "_minor_value", lambda raw, cost, state, rows, cols:
             read.append((rows, cols)) or value(raw, cost, state, rows, cols)
         )
+        reroutes = []
+        reroute = matrices._reroute
+        monkeypatch.setattr(matrices, "_reroute", lambda *args: reroutes.append(1) or reroute(*args))
         tags = set()
         total = 0
         for n in range(2, 7):
             for M in seeded_matrices(8900 + n, 10, n, 3, (1, 0, 0)):
                 d = det(M, "assignment")
                 tags.add(d.is_tangible)
-                read.clear()
-                searches.clear()
+                for seen in (sizes, searches, read, reroutes):
+                    seen.clear()
                 assert adjoint(M, "assignment") == adjoint(M), M
+                assert sizes == [n - 1] * n, M
                 col_of = M._assign[2][3]
                 deleted = [(min(set(range(n)) - set(rows)), min(set(range(n)) - set(cols))) for rows, cols in read]
                 matched = [(i, j) for i, j in deleted if col_of[i] == j]
-                assert (len(read), len(matched)) == ((n * n - n, 0) if d.is_tangible else (n * n, n)), M
-                assert set(searches) <= {n - 1}, M
+                if d.is_tangible:
+                    assert (len(read), len(reroutes), searches) == (0, 0, []), M
+                else:
+                    assert (len(read), len(matched), len(reroutes)) == (n * n, n, n * n - n), M
+                    assert set(searches) <= {n - 1}, M
                 total += len(searches)
         assert tags == {True, False}
-        assert total == 737
+        # The per-cofactor route ran 362 more on the tangible determinants.
+        assert total == 375
+
+    def test_column_trees_equal_the_per_cofactor_route(self):
+        # The tangible route against the per-cofactor route (a state for
+        # each minor, read by _minor_value) and the kernel's cofactor DP:
+        # ties, ghost and eps entries off the optimum, and the conjecture
+        # cap's orders.
+        def per_cofactor(M):
+            raw, cost, state, d = matrices._assignment_table(M)
+            cof = [[None] * M.n for _ in range(M.n)]
+            for i, j, minor in matrices._cofactor_states(cost, state):
+                cof[i][j] = matrices._minor_value(raw, cost, *minor)
+            return d, cof
+
+        tangible_dets = []
+        for f, (bound, probs) in enumerate(((1, DEFAULT_PROBS), (1, self.GHOSTLY), (2, self.SPARSE))):
+            checked = 0
+            for n in range(1, 10):
+                for M in seeded_matrices(9300 + 10 * f + n, 60 if n <= 5 else 25, n, bound, probs):
+                    d, cof = matrices._assignment_cofactors(M)
+                    if d is not None and d[1]:
+                        assert (d, cof) == per_cofactor(M) == matrices._cofactor_dp(M), M
+                        checked += 1
+            tangible_dets.append(checked)
+        for n in (12, 13):
+            (M,) = [M for M in seeded_matrices(9400 + n, 8, n) if is_nonsingular(M, "assignment")][:1]
+            assert matrices._assignment_cofactors(M) == per_cofactor(M) == matrices._cofactor_dp(M), M
+        assert tangible_dets == [130, 45, 93]
+
+    def test_a_second_tight_predecessor_that_pops_later(self):
+        # Column 2's search starts at row 1 and reaches columns 0 and 1 at
+        # distance 1 each; column 0 pops first, so the relaxation from row
+        # 0 (column 1's) never sees the tight edge (0, 0).  Both paths to
+        # column 0 are shortest, so the minor without row 2 and column 2,
+        # all 0t, is a ghost.
+        M = parse_matrix("3\n0t 0t 0t\n0t 0t 1t\n1t 0t 0t\n")
+        raw, cost, state, d = matrices._assignment_table(M)
+        u, v, row_of, col_of = state
+        assert d == (2, 1) and col_of == [1, 2, 0]
+        dist, way, scanned, _ = matrices._dijkstra(cost, u, v, row_of, [0, 1], row_of[2])
+        assert (dist[0], dist[1], scanned, way[0]) == (1, 1, [0, 1], 1)
+        assert dist[1] + cost[0][0] - u[0] - v[0] == dist[0]
+        assert cofactor(M, 3, 3, "assignment") == ghost(0) == cofactor(M, 3, 3, "brute")
+        assert adjoint(M, "assignment") == adjoint(M, "brute")
 
     def test_one_solve_per_accepted_draw(self, monkeypatch):
         # is_nonsingular's solve is kept on the matrix, and the check's
