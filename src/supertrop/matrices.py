@@ -415,8 +415,13 @@ def _principal_states(cost, bounded=False):
     in the walk.  A bounded walk skips ``T``, and its whole subtree, when
     that bound is strictly above the least cost seen at every order k' it
     reaches; an order with no minor seen yet, or a bound equal to the least
-    cost (a tie makes a ghost), keeps ``T``.  Its later siblings are then
-    skipped too, as each of their bounds is at least ``T``'s.
+    cost (a tie makes a ghost), keeps ``T``.  Once two minors of an order
+    share its least cost, that order's sum is already a ghost of their value
+    (or eps, when that cost is the grid's ``forbidden`` or more) and one more
+    minor of the same cost cannot change it, so until a cheaper minor
+    appears the bound there must be strictly below the least cost.  Its
+    later siblings are then skipped too, as each of their bounds is at
+    least ``T``'s.
 
     Each yielded state is a fresh copy that nothing changes afterwards (the
     minors below it copy it in turn), so a caller may keep any of them.
@@ -427,6 +432,7 @@ def _principal_states(cost, bounded=False):
     order = sorted(range(n), key=g.__getitem__)
     prefix = list(itertools.accumulate([g[t] for t in order], initial=0))
     least = [None] * (n + 1)  # least[k]: the least cost of a minor of order k seen so far
+    tied = [False] * (n + 1)  # tied[k]: a second minor of order k has cost least[k]
     # Each entry: a minor S (of bound sum ``floor`` and cost ``paid``), its
     # state, and the position in ``order`` of the next child to visit.
     stack = [((), 0, 0, ([0] * n, [0] * n, [-1] * n, [-1] * n), 0)]
@@ -437,8 +443,8 @@ def _principal_states(cost, bounded=False):
         if bounded:
             # The bound at order m + d adds the d smallest g after position p.
             floor_t = floor + g[t] - prefix[p + 1]
-            for best, ahead in zip(least[m:m + n - p], prefix[p + 1:]):
-                if best is None or floor_t + ahead <= best:
+            for best, tie, ahead in zip(least[m:m + n - p], tied[m:], prefix[p + 1:]):
+                if best is None or floor_t + ahead < best or floor_t + ahead == best and not tie:
                     break
             else:
                 continue
@@ -455,6 +461,9 @@ def _principal_states(cost, bounded=False):
         paid_t = paid + u[t] + v[t]
         if least[m] is None or paid_t < least[m]:
             least[m] = paid_t
+            tied[m] = False
+        elif paid_t == least[m]:
+            tied[m] = True
         if p + 1 < n:
             stack.append((T, floor + g[t], paid_t, child, p + 1))
 
@@ -651,14 +660,15 @@ def _assignment_sums(raw):
     Only the top minors of an order decide its sum: two tied at the top give
     a ghost, a single one passes its own tag on, and every lower minor's tag
     is lost.  So the walk may skip any minor that costs strictly more than
-    one already seen at its order (a minor's value is its order times the
-    grid's largest value, less its cost), and it reads each minor it solves
-    off its optimum (:func:`_optimum`, no search), keeping, per order, the
-    best value, whether it is tied, and the winning ``(S, state)``.  The
-    cycle search of :func:`_minor_value` then runs only for an order whose
-    top minor is unique with tangible entries along its optimum: at most
-    one search per order.  Addition is associative and commutative, so this
-    is exactly the :func:`_radd` fold of every minor.
+    one already seen at its order, or as much as two tied ones (a minor's
+    value is its order times the grid's largest value, less its cost), and
+    it reads each minor it solves off its optimum (:func:`_optimum`, no
+    search), keeping, per order, the best value, whether it is tied, and
+    the winning ``(S, state)``.  The cycle search of :func:`_minor_value`
+    then runs only for an order whose top minor is unique with tangible
+    entries along its optimum: at most one search per order.  Addition is
+    associative and commutative, so this is exactly the :func:`_radd` fold
+    of every minor.
     """
     cost = _assignment_grid(raw)
     top = [None] * (len(raw) + 1)  # top[k]: [value, tag (0 once tied), S, state] of the best

@@ -38,8 +38,17 @@ Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
 hold exactly, ghost tags included.  The per-matrix checks therefore read
 alpha and beta for every k from one kernel pass over ``A`` and evaluate only
-gamma, compiled once per (n, k); ``engine="both"`` also evaluates alpha and beta
-symbolically and raises :class:`InternalError` on any disagreement.
+gamma; ``engine="both"`` also evaluates alpha and beta symbolically and
+raises :class:`InternalError` on any disagreement.
+
+:func:`evaluate` does not walk the terms.  Once per polynomial it folds them
+into a DAG over row fields (:func:`_compiled`): a node is the sum of its
+terms below some prefix of rows, each edge one distinct field of the next
+row times a node below it, and equal nodes are shared.  A call reads each
+distinct field once and makes one addition per edge, so at order 5, k = 3
+alpha's 178,960 terms cost 10,882 edges and 250 fields.  The fold is the
+same regrouping by distributivity as the kernel's row DP, and each term is
+one root-to-leaf path, so it is counted exactly once.
 
 Variable indices in the public helpers are 1-based: ``variable(n, 1, 1)`` is
 ``v11``, the top-left entry.
@@ -49,7 +58,7 @@ from __future__ import annotations
 
 import collections
 from functools import lru_cache, reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import InternalError, OrderTooLarge, Singular
 from .matrices import Matrix, _minor, _row_plan, _surpassing_sides
@@ -92,9 +101,9 @@ class Poly:
     ``terms`` maps each monomial key (see the module docstring) to the tag
     of its coefficient: 1 for ``0t``, 0 for ``0g``.  A monomial that is
     absent has coefficient eps.  Both arguments are stored as given, without
-    a check or a copy.  :func:`evaluate` keeps a compiled form of the terms
-    in a private slot, so the terms of an evaluated polynomial must not
-    change.
+    a check or a copy.  :func:`evaluate` keeps the row-field DAG of the
+    terms (:func:`_compiled`) in a private slot, so the terms of an
+    evaluated polynomial must not change.
     """
 
     __slots__ = ("n", "terms", "_compiled")
@@ -295,44 +304,83 @@ def _nibbles(key):
 
 
 def _compiled(p):
-    """The terms of ``p`` as ``(tag, support, indices)`` (see :func:`_nibbles`).
+    """The row-field DAG of ``p``: ``(supports, reads, nodes)``.
 
-    Each key is cut into its n row fields of n nibbles, and each distinct
-    field is read once per polynomial, so a term costs n masks and at most
-    n joins.  Built on the first call and kept on ``p``.
+    A key's row-r field is its n nibbles for row r, and its prefix at row r
+    is its fields above r.  The DAG is built bottom-up, one pass per row
+    from the last: the keys with their tags (at the last row), or the
+    prefixes of the row below with their node ids (above it), are grouped by
+    their prefix at row r, and each group is a node, the tuple of its
+    ``(field id, child)`` edges in one canonical order (by child, then
+    field).  Equal nodes of a row, tags included, are
+    interned, so equal sub-polynomials share one node.  ``nodes`` lists the
+    nodes row by row, last row first: ``nodes[i]`` has id ``i + 2``, and ids
+    0 and 1 are the leaves, the coefficients ``0g`` and ``0t`` that a
+    last-row edge names by its term's tag.  The first row has one node, the
+    root, last in ``nodes``; the zero polynomial has none.
+
+    Every distinct field, of any row, has one id: ``supports[id]`` has bit
+    ``i`` set for each flat entry index ``i`` of non-zero exponent, and
+    ``reads[id]`` gets from a matrix's flat entry values, with a 0 appended,
+    each index as often as its exponent, padded with the appended 0 to at
+    least two (a getter of one index returns no tuple).
+
+    Each key is exactly one root-to-leaf path, its fields in row order, and
+    each such path is one key: the fields of a node are distinct, each edge
+    naming one prefix of the row below.  Built on the first call and kept
+    on ``p``.
     """
     compiled = p._compiled
     if compiled is None:
-        width = _NIBBLE * p.n
-        masks = [((1 << width) - 1) << width * r for r in range(p.n)]
-        read = {}
-        compiled = []
-        for key, tag in p.terms.items():
-            support = 0
-            indices = ()
-            for mask in masks:
-                field = key & mask
-                if field:
-                    part = read.get(field)
-                    if part is None:
-                        part = read[field] = _nibbles(field)
-                    support |= part[0]
-                    indices += part[1]
-            compiled.append((tag, support, indices))
-        compiled = p._compiled = tuple(compiled)
+        n = p.n
+        width = _NIBBLE * n
+        mask = (1 << width) - 1
+        ids = {}  # each distinct field, in place in its key, to its id
+        nodes = []  # node i has id i + 2, after the leaves
+        items = p.terms.items()  # (prefix, child): first the keys and their tags
+        for r in reversed(range(n)):
+            shift = width * r
+            low = (1 << shift) - 1
+            groups = collections.defaultdict(list)
+            for key, child in items:
+                groups[key & low].append(child << width | key >> shift)
+            level = {}
+            base = len(nodes) + 2
+            items = []
+            for prefix, edges in groups.items():
+                edges.sort()
+                items.append((prefix, level.setdefault(tuple(edges), base + len(level))))
+            nodes += [
+                tuple((ids.setdefault((e & mask) << shift, len(ids)), e >> width) for e in node)
+                for node in level
+            ]
+        supports, indices = zip(*map(_nibbles, ids)) if ids else ((), ())
+        pad = (n * n,) * 2
+        reads = tuple(itemgetter(*(i + pad)[:max(len(i), 2)]) for i in indices)
+        compiled = p._compiled = (supports, reads, tuple(nodes))
     return compiled
 
 
 def evaluate(p: Poly, A: Matrix) -> Scalar:
     """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps.
 
-    A term is eps when its support meets an eps entry, and a ghost when it
-    meets a ghost entry or has tag 0; its value is the sum of the entry
-    values, each counted by its exponent (every coefficient has value 0).
+    A fold of the DAG of :func:`_compiled`, one node at a time from the
+    last row up.  Each distinct field is read once: eps if its support meets
+    an eps entry, else the sum of its entries' values, each counted by its
+    exponent, and a ghost iff its support meets a ghost entry.  A node's
+    value is the sum over its edges of field times child; a tie at the top
+    gives a ghost.  By distributivity this regroups the sum of the terms,
+    as the kernel's row DP regroups a permutation sum, and each term is
+    counted once, being one root-to-leaf path: that matters, since addition
+    is not idempotent.  A call costs the DAG's fields plus its edges, not
+    its terms times their degree.
     """
     if p.n != A.n:
         raise ValueError(f"order mismatch: polynomial {p.n} vs matrix {A.n}")
-    values = []
+    supports, reads, nodes = _compiled(p)
+    if not nodes:
+        return EPS
+    entries = []
     eps_mask = ghost_mask = 0
     bit = 1
     for row in A.rows:
@@ -341,25 +389,30 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
                 eps_mask |= bit
             elif not s.tag:
                 ghost_mask |= bit
-            values.append(s.value)
+            entries.append(s.value)
             bit <<= 1
-    value_at = values.__getitem__
-    best_value = None
-    best_tag = None
-    for tag, support, indices in _compiled(p):
-        if support & eps_mask:
-            continue
-        value = sum(map(value_at, indices))
-        if support & ghost_mask:
-            tag = 0
-        if best_value is None or value > best_value:
-            best_value = value
-            best_tag = tag
-        elif value == best_value:
-            best_tag = 0
-    if best_value is None:
+    entries.append(0)  # the getters' pad
+    field = [None if support & eps_mask else sum(read(entries)) for support, read in zip(supports, reads)]
+    values = [0, 0]  # per node id, its value, or None for eps; the leaves first
+    tags = [0, 1]
+    for node in nodes:
+        best = tag = None
+        for f, c in node:
+            a = field[f]
+            b = values[c]
+            if a is None or b is None:
+                continue
+            a += b
+            if best is None or a > best:
+                best = a
+                tag = 0 if supports[f] & ghost_mask else tags[c]
+            elif a == best:
+                tag = 0
+        values.append(best)
+        tags.append(tag)
+    if best is None:
         return EPS
-    return Scalar(best_value, best_tag)
+    return Scalar(best, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from supertrop import (
     tangible,
 )
 from supertrop import polynomials
-from supertrop.matrices import adjoint, is_nonsingular
+from supertrop.matrices import _surpassing_sides, adjoint, is_nonsingular
 from supertrop.polynomials import (
     SYMBOLIC_KMAX,
     Poly,
@@ -128,6 +128,40 @@ def evaluate_by_terms(p, A):
     if best_value is None:
         return EPS
     return Scalar(best_value, best_tag)
+
+
+def dag_terms(p):
+    """The ``(key, tag)`` of every root-to-leaf path of the DAG of ``p``,
+    sorted; a path's key is the sum of its fields' keys.  Each field is read
+    back through its getter from the flat indices themselves, and its
+    support must be its key's; no node may be interned twice."""
+    supports, reads, nodes = _compiled(p)
+    size = p.n * p.n
+    keys = []
+    for support, read in zip(supports, reads):
+        indices = [i for i in read(range(size + 1)) if i < size]
+        keys.append(sum(1 << 4 * i for i in indices))
+        assert support == sum(1 << i for i in set(indices)), p
+    assert len(set(nodes)) == len(nodes), p
+    paths = [[(0, 0)], [(0, 1)]]  # per node id, its paths: the leaves first
+    for node in nodes:
+        paths.append([(keys[f] + key, tag) for f, c in node for key, tag in paths[c]])
+    return sorted(paths[-1]) if nodes else []
+
+
+def fraction_matrices(seed, count, n):
+    """Matrices of eps, ghost and tangible entries with Fraction values of
+    small numerators and denominators, so that sums tie."""
+    rng = Xorshift64Star(seed)
+    kinds = (EPS, ghost, tangible, tangible)
+    return [
+        Matrix([
+            [kind if kind is EPS else kind(Fraction(rng.next_below(7) - 3, 1 + rng.next_below(3)))
+             for kind in (kinds[rng.next_below(4)] for _ in range(n))]
+            for _ in range(n)
+        ])
+        for _ in range(count)
+    ]
 
 
 def exps(n, *pairs):
@@ -418,34 +452,52 @@ class TestEvaluate:
                 for p in polys:
                     assert evaluate(p, M) == evaluate_by_terms(p, M), (p, M)
 
-    def test_compiled_reads_the_key_fields(self):
-        # The compiled form of every built polynomial up to order 4 equals
-        # the one read off each key's decoded n*n exponent grid.
-        for n in range(1, 5):
-            polys = [build_alpha(n, k) for k in range(n + 1)]
-            polys += [build(n, k) for build in (build_beta, build_gamma) for k in range(1, n + 1)]
-            for p in polys:
-                expected = []
-                for key, tag in p.terms.items():
-                    exps = _exponents(key, n)
-                    support = sum(1 << i for i, e in enumerate(exps) if e)
-                    expected.append((tag, support, tuple(i for i, e in enumerate(exps) for _ in range(e))))
-                assert _compiled(p) == tuple(expected), p
+    def test_dag_paths_rebuild_the_terms(self):
+        # Every key is exactly one root-to-leaf path, with its tag: the fold
+        # counts each term once.  Every built polynomial up to order 4, and
+        # alpha and beta at order 5 for k <= 2.
+        polys = [build_alpha(n, k) for n in range(1, 5) for k in range(n + 1)]
+        polys += [build(n, k) for n in range(1, 5) for build in (build_beta, build_gamma) for k in range(1, n + 1)]
+        polys += [build(5, k) for build in (build_alpha, build_beta) for k in (1, 2)]
+        for p in polys:
+            assert dag_terms(p) == sorted(p.terms.items()), p
+
+    def test_dag_shares_equal_sub_polynomials(self):
+        # (distinct fields, nodes, edges) at order 5: at k = 3 alpha's
+        # 178,960 terms fold through 10,882 edges, beta's 115,590 through
+        # 16,607.
+        sizes = {}
+        for k in (2, 3):
+            for build in (build_alpha, build_beta):
+                supports, _, nodes = _compiled(build(5, k))
+                sizes[build.__name__, k] = (len(supports), len(nodes), sum(map(len, nodes)))
+        assert sizes == {
+            ("build_alpha", 2): (100, 478, 2843),
+            ("build_beta", 2): (100, 454, 2394),
+            ("build_alpha", 3): (250, 900, 10882),
+            ("build_beta", 3): (250, 1574, 16607),
+        }
 
     def test_hand_built_coefficients(self):
         # Random tags, ghost ones included, on random exponent grids with
-        # exponents up to 2, which the builders never make.
+        # exponents up to 2, which the builders never make, and the zero and
+        # unit polynomials; on tie-heavy matrices and on matrices of random
+        # Fraction values.
         rng = Xorshift64Star(77)
         for n in (1, 2, 3):
-            matrices = alphabet_matrices(900 + n, 30, n)
+            matrices = alphabet_matrices(900 + n, 30, n) + fraction_matrices(950 + n, 30, n)
+            polys = [zero_poly(n), unit_poly(n)]
             for _ in range(40):
                 terms = {
                     pack(rng.next_below(3) for _ in range(n * n)): rng.next_below(2)
                     for _ in range(1 + rng.next_below(6))
                 }
-                p = Poly(n, terms)
+                polys.append(Poly(n, terms))
+            for p in polys:
                 for M in matrices:
-                    assert evaluate(p, M) == evaluate_by_terms(p, M), (terms, M)
+                    assert evaluate(p, M) == evaluate_by_terms(p, M), (p.terms, M)
+            for M in matrices:
+                assert (evaluate(zero_poly(n), M), evaluate(unit_poly(n), M)) == (EPS, tangible(0))
 
     def test_compiled_form_is_per_polynomial(self):
         M = parse_matrix("2\n1t 2g\ne 0t\n")
@@ -511,6 +563,26 @@ class TestClaims:
                     assert dec.alpha_value == evaluate(build_alpha(n, k), M), (M, k)
                     assert dec.beta_value == evaluate(build_beta(n, k), M), (M, k)
                     assert c3.beta_value == dec.beta_value, (M, k)
+
+    def test_kernel_values_equal_symbolic_evaluation_at_order_5(self):
+        # alpha and beta up to k = 3, where alpha has 178,960 terms: default
+        # draws through the claims reports, and ghost-heavy draws, singular
+        # ones included, against the kernel's two sides.
+        rng = Xorshift64Star(905)
+        checked = 0
+        while checked < 10:
+            M = random_matrix(rng, 5, 4)
+            if not is_nonsingular(M):
+                continue
+            checked += 1
+            for c3, dec in _claims_reports(M, range(1, 4)):
+                assert dec.alpha_value == evaluate(build_alpha(5, dec.k), M), (M, dec.k)
+                assert dec.beta_value == evaluate(build_beta(5, dec.k), M) == c3.beta_value, (M, dec.k)
+        ghostly = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+        for M in [random_matrix(rng, 5, 1, ghostly) for _ in range(10)]:
+            _, sides = _surpassing_sides(M, "auto")
+            for k in range(1, 4):
+                assert sides[k] == (evaluate(build_alpha(5, k), M), evaluate(build_beta(5, k), M)), (M, k)
 
     def test_exists_addend_matches_search(self):
         values = [-2, -1, 0, 1, 2]
