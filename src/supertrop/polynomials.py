@@ -20,19 +20,24 @@ three distinguished polynomials for a given order n and level k:
   (n-k)-th characteristic coefficient of the variable matrix;
 * ``gamma``: the restriction of beta to its terms of tag 1.
 
-Every characteristic coefficient, and so every determinant, comes from one
-graded row DP: the kernel's row DP of ``det(A + lambda I)`` run with
-polynomial arithmetic.  One pass over the variable matrix gives ``det`` and
-every ``chi_m`` behind beta; one pass over the symbolic adjoint, whose cells
-are the determinants of the variable minors, gives every alpha up to the
-order's largest k.  Both are kept per order.  The tests compare alpha and
-beta term for term with direct enumerations of permutations and index
-tuples.
+Every characteristic coefficient is a sum of principal-minor determinants,
+and is built as one: :func:`poly_det` is the kernel's prefix row DP run
+with polynomial arithmetic, and ``chi_k`` of a grid adds up ``poly_det`` of
+its principal k-by-k subgrids.  alpha is that sum over the symbolic
+adjoint, whose cells are the determinants of the variable minors; beta is
+the variable determinant to the power k - 1 times that sum over the variable
+matrix at n - k.  The adjoint cells and the variable determinant are kept
+per order.  The pieces of one sum have disjoint supports: a term of
+alpha's piece on the index set S has row and column sums k - 1 on S and k
+off it, and a term of beta's piece on R has sums k on R and k - 1 off it,
+so each tag is decided inside its piece.  The tests check that split, and
+compare alpha and beta term for term with direct enumerations of
+permutations and index tuples.
 
 On top of these sit the mechanical support/evaluation checks used by the
-verification harness.  :data:`SYMBOLIC_KMAX` gives the largest k built at
-each order: every k up to order 4, and k <= 3 at order 5, where alpha has
-178,960 terms at k = 3 and 1,184,930 at k = 4.
+verification harness.  :data:`SYMBOLIC_KMAX` caps the k that the builders
+accept at each order: every k up to order 4, and k <= 3 at order 5, where
+alpha has 178,960 terms at k = 3 and 1,184,930 at k = 4.
 
 Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
@@ -57,6 +62,7 @@ Variable indices in the public helpers are 1-based: ``variable(n, 1, 1)`` is
 from __future__ import annotations
 
 import collections
+import itertools
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
 
@@ -178,47 +184,33 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return Poly(p.n, terms)
 
 
-def _poly_sums(cells, n, kmax=None):
-    """``sums[k]``: the sum of all principal k-by-k minors of the square grid
-    ``cells`` of order-n polynomials, k = 0..m; ``sums[m]`` is its determinant.
-    With ``kmax``, each ``sums[k]`` with k > kmax is the zero polynomial.
-
-    The row DP of :func:`matrices._principal_sums` over the same index plan,
-    with :func:`poly_add` and :func:`poly_mul` as the semiring: ``f[S][d]``
-    sums the assignments of rows ``0..|S|-1`` onto the columns ``S`` in which
-    ``d`` rows take the tangible unit lambda on the diagonal.  ``sums[k]`` is
-    ``f[full][m-k]``, and each later row raises d by at most one, so an
-    entry with ``d < |S| - kmax`` reaches no k <= kmax and is not built.
-    """
-    m = len(cells)
-    by_count, pairs = _row_plan(m)
-    zero = zero_poly(n)
-    f = [None] * (1 << m)
-    f[0] = [unit_poly(n)]
-    for r in range(m):
-        row = cells[r]
-        low = (2 << r) - 1
-        lo = 0 if kmax is None else max(r + 1 - kmax, 0)
-        for S in by_count[r + 1]:
-            out = [zero] * ((S & low).bit_count() + 1)
-            for T, j in pairs[S]:
-                prev = f[T]
-                if j == r:
-                    for d in range(max(lo, 1), len(prev) + 1):
-                        out[d] = poly_add(out[d], prev[d - 1])
-                for d in range(lo, len(prev)):
-                    out[d] = poly_add(out[d], poly_mul(prev[d], row[j]))
-            f[S] = out
-    return f[-1][::-1]  # f[full][m] is the unit: every row takes lambda
-
-
 def poly_det(cells, n: int) -> Poly:
     """Determinant of a square grid of polynomials over order-n variables.
 
-    The empty grid yields the unit (empty-product convention), which is what
-    the k = 0 / k = n edge cases rely on.
+    The prefix row DP of :func:`matrices._prefix_dp` on the same index plan,
+    with :func:`poly_add` and :func:`poly_mul` as the semiring: ``f[S]`` sums
+    the assignments of the first ``|S|`` rows onto the columns ``S``.
+    O(m 2^m) polynomial products for an m-by-m grid.  The empty grid yields
+    the unit (empty-product convention), which k = 0 and k = n rely on.
     """
-    return _poly_sums(cells, n)[-1]
+    m = len(cells)
+    by_count, pairs = _row_plan(m)
+    f = [None] * (1 << m)
+    f[0] = unit_poly(n)
+    for r in range(m):
+        row = cells[r]
+        for S in by_count[r + 1]:
+            f[S] = reduce(poly_add, (poly_mul(f[T], row[j]) for T, j in pairs[S]))
+    return f[-1]
+
+
+def _principal_sum(cells, n, k):
+    """``chi_k`` of the square grid ``cells``: the sum of the determinants of
+    its principal k-by-k subgrids."""
+    return reduce(poly_add, (
+        poly_det([[cells[i][j] for j in S] for i in S], n)
+        for S in itertools.combinations(range(len(cells)), k)
+    ))
 
 
 def _variable_cells(n):
@@ -226,19 +218,17 @@ def _variable_cells(n):
 
 
 @lru_cache(maxsize=None)
-def _variable_sums(n):
-    """Every ``chi_m`` of the all-variable matrix, m = 0..n."""
-    return _poly_sums(_variable_cells(n), n)
+def _variable_det(n):
+    """The determinant of the all-variable matrix."""
+    return poly_det(_variable_cells(n), n)
 
 
 @lru_cache(maxsize=None)
-def _adjoint_sums(n):
-    """Every ``chi_m`` of the adjoint of the all-variable matrix, m = 0..n,
-    built for m up to ``SYMBOLIC_KMAX[n]``; its entry (i, j) is the minor
-    without row j and column i."""
+def _adjoint_cells(n):
+    """The adjoint of the all-variable matrix: its cell (i, j) is the
+    determinant of the minor without row j and column i."""
     cells = _variable_cells(n)
-    adj = [[poly_det(_minor(cells, j, i), n) for j in range(n)] for i in range(n)]
-    return _poly_sums(adj, n, SYMBOLIC_KMAX[n])
+    return tuple(tuple(poly_det(_minor(cells, j, i), n) for j in range(n)) for i in range(n))
 
 
 def _check_caps(n, k, k_floor):
@@ -260,7 +250,7 @@ def build_alpha(n: int, k: int) -> Poly:
     polynomial as read-only.
     """
     _check_caps(n, k, 0)
-    return _adjoint_sums(n)[k]
+    return _principal_sum(_adjoint_cells(n), n, k)
 
 
 @lru_cache(maxsize=None)
@@ -271,11 +261,10 @@ def build_beta(n: int, k: int) -> Poly:
     polynomial.  Built via polynomial products.  Cached; treat as read-only.
     """
     _check_caps(n, k, 1)
-    sums = _variable_sums(n)
     beta = unit_poly(n)
     for _ in range(k - 1):
-        beta = poly_mul(beta, sums[n])
-    return poly_mul(beta, sums[n - k])
+        beta = poly_mul(beta, _variable_det(n))
+    return poly_mul(beta, _principal_sum(_variable_cells(n), n, n - k))
 
 
 @lru_cache(maxsize=None)

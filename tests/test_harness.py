@@ -389,7 +389,7 @@ class TestRun:
         # the unfiltered run's rows, restricted to the k it keeps.
         def claims_rows(ks):
             for cached in (polynomials.build_alpha, polynomials.build_beta, polynomials.build_gamma,
-                           polynomials._variable_sums, polynomials._adjoint_sums):
+                           polynomials._variable_det, polynomials._adjoint_cells):
                 cached.cache_clear()
             cfg = TrialConfig(mode="claims", n_values=(2, 3, 4), trials=30, bound=1, seed=42,
                               engine="both", ks=ks)

@@ -39,8 +39,8 @@ from supertrop.polynomials import (
     _compiled,
     _exists_addend,
     _exponents,
-    _poly_sums,
     _variable_cells,
+    poly_det,
     unit_poly,
     variable,
     zero_poly,
@@ -250,6 +250,42 @@ TERM_COUNTS = {
 }
 
 
+def principal_pieces(cells, n, k):
+    """``poly_det`` of each principal k-by-k subgrid of ``cells``."""
+    return [
+        poly_det([[cells[i][j] for j in S] for i in S], n)
+        for S in itertools.combinations(range(len(cells)), k)
+    ]
+
+
+def termwise(alpha, beta):
+    """The theorem term by term, alpha = beta + (terms of tag 0), as
+    ``(missing, untagged, tagged)``: the number of beta's monomials outside
+    alpha, which (i) says is 0; of alpha's tag-1 monomials without tag 1 in
+    beta, which (ii) says is 0; and of alpha's tag-1 monomials."""
+    missing = sum(key not in alpha.terms for key in beta.terms)
+    tagged = [key for key, tag in alpha.terms.items() if tag]
+    untagged = sum(not beta.terms.get(key) for key in tagged)
+    return missing, untagged, len(tagged)
+
+
+def line_sum_grids(n, s):
+    """Every n-by-n nonnegative integer matrix with each row and column sum
+    ``s``, flattened row by row."""
+    compositions = [c for c in itertools.product(range(s + 1), repeat=n) if sum(c) == s]
+
+    def rows(r, left):  # ``left``: what each column still needs from rows r..n-1
+        if r == n:
+            return [()] if not any(left) else []
+        return [
+            row + rest
+            for row in compositions if all(map(int.__le__, row, left))
+            for rest in rows(r + 1, tuple(map(int.__sub__, left, row)))
+        ]
+
+    return rows(0, (s,) * n)
+
+
 class TestPolyArithmetic:
     def test_add_merges_to_ghost(self):
         e1 = exps(2, (1, 1, 1))
@@ -370,21 +406,53 @@ class TestBuilders:
                 assert build_beta(n, k) == beta_by_tuples(n, k), (n, k)
 
     def test_alpha_equals_permutation_enumeration(self):
-        # Order 5 is built by the degree-cut DP; its k = 3 has 829,440 tuples.
+        # At order 5 the enumeration stops at k = 2: k = 3 has 829,440 tuples.
         for n in range(1, 6):
             for k in range((2 if n == 5 else n) + 1):
                 assert build_alpha(n, k) == alpha_by_permutations(n, k), (n, k)
 
-    def test_degree_cut_keeps_every_k_up_to_kmax(self):
-        # The DP cut at kmax equals the full one for every k <= kmax and
-        # leaves every k above it empty.
-        for n in range(1, 6):
+    def test_principal_pieces_are_disjoint(self):
+        # chi_k is built as a sum of principal-minor determinants, one piece
+        # per index set, and no two pieces of one sum share a monomial: a
+        # term of alpha's piece on S has line sums k - 1 on S and k off it,
+        # one of the variable chi_(n-k)'s piece on R has sums 1 on R and 0
+        # off it.  So the plain dict union of the pieces is the sum, tags
+        # included.  Every built (n, k), k = 0 included.
+        def disjoint_union(pieces):
+            union = {}
+            for piece in pieces:
+                assert union.keys().isdisjoint(piece.terms)
+                union.update(piece.terms)
+            return union
+
+        for n, kmax in SYMBOLIC_KMAX.items():
+            adj = polynomials._adjoint_cells(n)
             cells = _variable_cells(n)
-            full = _poly_sums(cells, n)
-            for kmax in range(n + 1):
-                cut = _poly_sums(cells, n, kmax)
-                assert cut[:kmax + 1] == full[:kmax + 1], (n, kmax)
-                assert cut[kmax + 1:] == [zero_poly(n)] * (n - kmax), (n, kmax)
+            for k in range(kmax + 1):
+                assert disjoint_union(principal_pieces(adj, n, k)) == build_alpha(n, k).terms, (n, k)
+                chi = polynomials._principal_sum(cells, n, n - k)
+                assert disjoint_union(principal_pieces(cells, n, n - k)) == chi.terms, (n, k)
+
+    def test_termwise_theorem(self):
+        # alpha = beta + G, every coefficient of G being 0g: (i) every beta
+        # monomial is an alpha monomial, (ii) every tag-1 alpha monomial has
+        # tag 1 in beta.  Substitution is a homomorphism, so at every matrix
+        # A, singular or not, chi_k(adj A) = det(A)^(k-1) chi_(n-k)(A) + G(A)
+        # with G(A) ghost or eps.  alpha's tag-1 monomials are gamma's.
+        for n, counts in TERM_COUNTS.items():
+            for k, (_, _, gamma_terms) in enumerate(counts, 1):
+                assert termwise(build_alpha(n, k), build_beta(n, k)) == (0, 0, gamma_terms), (n, k)
+
+    def test_alpha_at_k_equal_n_is_every_line_sum_matrix(self):
+        # beta(n, n) = det^(n-1), whose support is every nonnegative integer
+        # matrix with line sums n - 1 (Birkhoff-Koenig), and every alpha(n, n)
+        # term has those sums: (i) at k = n says alpha's support is all of them.
+        counts = []
+        for n in range(1, 5):
+            grids = line_sum_grids(n, n - 1)
+            assert set(build_alpha(n, n).terms) == set(map(pack, grids)), n
+            counts.append(len(grids))
+        assert counts == [1, 2, 21, 2008]
 
     def test_term_counts(self):
         for n, counts in TERM_COUNTS.items():
@@ -400,8 +468,8 @@ class TestBuilders:
     def test_builders_make_no_scalars(self, monkeypatch):
         # Every coefficient is 0t or 0g, so a term is its tag alone.  Built
         # from cold caches, alpha, beta and gamma construct no Scalar.
-        for cached in (build_alpha, build_beta, build_gamma, polynomials._variable_sums,
-                       polynomials._adjoint_sums):
+        for cached in (build_alpha, build_beta, build_gamma, polynomials._variable_det,
+                       polynomials._adjoint_cells):
             cached.cache_clear()
         built = []
         real = Scalar.__init__
