@@ -123,7 +123,7 @@ def _config_from_args(args) -> TrialConfig:
         bound=20 if args.bound is None else args.bound,
         probs=DEFAULT_PROBS if args.probs is None else parse_probs(args.probs),
         engine=args.engine,
-        ks=parse_ks(args.k) if args.k else None,
+        ks=None if args.k is None else parse_ks(args.k),
         allow_singular=args.allow_singular,
         out_format=args.format,
         input_text=input_text,

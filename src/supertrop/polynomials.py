@@ -42,18 +42,26 @@ alpha has 178,960 terms at k = 3 and 1,184,930 at k = 4.
 Substituting a matrix ``A`` for the variables is a semiring homomorphism, so
 ``alpha(A) = chi_k(adj A)`` and ``beta(A) = det(A)^(k-1) * chi_{n-k}(A)``
 hold exactly, ghost tags included.  The per-matrix checks therefore read
-alpha and beta for every k from one kernel pass over ``A`` and evaluate only
-gamma; ``engine="both"`` also evaluates alpha and beta symbolically and
-raises :class:`InternalError` on any disagreement.
+alpha and beta for every k from one kernel pass over ``A``, and evaluate
+gamma symbolically; ``engine="both"`` also evaluates alpha and beta
+symbolically and raises :class:`InternalError` on any disagreement.
 
-:func:`evaluate` does not walk the terms.  Once per polynomial it folds them
-into a DAG over row fields (:func:`_compiled`): a node is the sum of its
-terms below some prefix of rows, each edge one distinct field of the next
-row times a node below it, and equal nodes are shared.  A call reads each
+Evaluation does not walk the terms.  :func:`_compile` folds the keys of
+one or more polynomials into one DAG over row fields: a node is the sum of
+some terms below a prefix of rows, each edge one distinct field of the next
+row times a node below it, and equal nodes are shared, across the
+polynomials too, each polynomial being one root.  :func:`_fold` reads each
 distinct field once and makes one addition per edge, so at order 5, k = 3
 alpha's 178,960 terms cost 10,882 edges and 250 fields.  The fold is the
 same regrouping by distributivity as the kernel's row DP, and each term is
-one root-to-leaf path, so it is counted exactly once.
+one path from its root to a leaf, so it is counted exactly once.  A claims
+trial makes one fold per matrix, of one DAG per order (:func:`_claims_dag`)
+whose roots are gamma for every k checked, and alpha and beta too under
+``engine="both"``: gamma(n, k) over k = 1..n reads 5 fields and 7 edges at
+order 2, 25 and 50 at order 3 and 85 and 405 at order 4, where one DAG per
+k read 7 and 8, 37 and 56, and 121 and 426, and scanned the entries once
+per k.  :func:`evaluate` is the one-root case, its DAG kept on the
+polynomial.
 
 Variable indices in the public helpers are 1-based: ``variable(n, 1, 1)`` is
 ``v11``, the top-left entry.
@@ -187,21 +195,42 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 def poly_det(cells, n: int) -> Poly:
     """Determinant of a square grid of polynomials over order-n variables.
 
-    The prefix row DP of :func:`matrices._prefix_dp` on the same index plan,
-    with :func:`poly_add` and :func:`poly_mul` as the semiring: ``f[S]`` sums
-    the assignments of the first ``|S|`` rows onto the columns ``S``.
-    O(m 2^m) polynomial products for an m-by-m grid.  The empty grid yields
-    the unit (empty-product convention), which k = 0 and k = n rely on.
+    The prefix row DP of :func:`matrices._prefix_dp` on the same index plan:
+    ``f[S]`` sums the assignments of the first ``|S|`` rows onto the columns
+    ``S``, and every product ``f[T] * cell`` of its sum is added term by
+    term straight into the one dict of ``f[S]``, with the tags of
+    :func:`poly_add` and :func:`poly_mul`.  O(m 2^m) polynomial products for
+    an m-by-m grid.  The empty grid yields the unit (empty-product
+    convention), which k = 0 and k = n rely on.
+
+    A term of the result takes one cell per row, so none of its exponents
+    exceeds the sum over the rows of the row's largest exponent; a grid
+    where that sum is above 15, so that a product could carry out of its
+    4 bits into the next variable's, is refused before the DP.
     """
     m = len(cells)
+    if sum(max(map(_top_exponent, row), default=0) for row in cells) > 15:
+        raise ValueError("the rows' largest exponents sum above 15, which a product could carry into the next variable")
     by_count, pairs = _row_plan(m)
     f = [None] * (1 << m)
-    f[0] = unit_poly(n)
+    f[0] = {0: 1}
     for r in range(m):
         row = cells[r]
         for S in by_count[r + 1]:
-            f[S] = reduce(poly_add, (poly_mul(f[T], row[j]) for T, j in pairs[S]))
-    return f[-1]
+            terms = {}
+            for T, j in pairs[S]:
+                cell = row[j].terms.items()
+                for e1, t1 in f[T].items():
+                    for e2, t2 in cell:
+                        key = e1 + e2
+                        terms[key] = 0 if key in terms else t1 & t2
+            f[S] = terms
+    return Poly(n, f[-1])
+
+
+def _top_exponent(p):
+    """The largest exponent in any term of ``p``; 0 for the zero polynomial."""
+    return max((key >> i & 15 for key in p.terms for i in range(0, key.bit_length(), _NIBBLE)), default=0)
 
 
 def _principal_sum(cells, n, k):
@@ -292,83 +321,91 @@ def _nibbles(key):
     return support, tuple(indices)
 
 
-def _compiled(p):
-    """The row-field DAG of ``p``: ``(supports, reads, nodes)``.
+def _compile(n, polys):
+    """The row-field DAG of the polynomials ``polys``, all of order ``n``:
+    ``(supports, reads, nodes, roots)``, one root per polynomial.
 
     A key's row-r field is its n nibbles for row r, and its prefix at row r
     is its fields above r.  The DAG is built bottom-up, one pass per row
-    from the last: the keys with their tags (at the last row), or the
-    prefixes of the row below with their node ids (above it), are grouped by
-    their prefix at row r, and each group is a node, the tuple of its
-    ``(field id, child)`` edges in one canonical order (by child, then
-    field).  Equal nodes of a row, tags included, are
-    interned, so equal sub-polynomials share one node.  ``nodes`` lists the
-    nodes row by row, last row first: ``nodes[i]`` has id ``i + 2``, and ids
-    0 and 1 are the leaves, the coefficients ``0g`` and ``0t`` that a
-    last-row edge names by its term's tag.  The first row has one node, the
-    root, last in ``nodes``; the zero polynomial has none.
+    from the last: for each polynomial in turn, the keys with their tags (at
+    the last row), or the prefixes of the row below with their node ids
+    (above it), are grouped by their prefix at row r, and each group is a
+    node, the tuple of its ``(field id, child)`` edges in one canonical
+    order (by child, then field).  Equal nodes of a row, tags included, are
+    interned across all the polynomials, so equal sub-polynomials share one
+    node, whichever polynomial they come from.  ``nodes`` lists the nodes
+    row by row, last row first: ``nodes[i]`` has id ``i + 2``, and ids 0
+    and 1 are the leaves, the coefficients ``0g`` and ``0t`` that a
+    last-row edge names by its term's tag.  ``roots[q]`` is the id of the
+    first-row node of ``polys[q]``, or ``None`` if it is the zero
+    polynomial; equal polynomials share their root.
 
-    Every distinct field, of any row, has one id: ``supports[id]`` has bit
-    ``i`` set for each flat entry index ``i`` of non-zero exponent, and
-    ``reads[id]`` gets from a matrix's flat entry values, with a 0 appended,
-    each index as often as its exponent, padded with the appended 0 to at
-    least two (a getter of one index returns no tuple).
+    Every distinct field, of any row and any polynomial, has one id:
+    ``supports[id]`` has bit ``i`` set for each flat entry index ``i`` of
+    non-zero exponent, and ``reads[id]`` gets from a matrix's flat entry
+    values, with a 0 appended, each index as often as its exponent, padded
+    with the appended 0 to at least two (a getter of one index returns no
+    tuple).
 
-    Each key is exactly one root-to-leaf path, its fields in row order, and
-    each such path is one key: the fields of a node are distinct, each edge
-    naming one prefix of the row below.  Built on the first call and kept
-    on ``p``.
+    Each key of ``polys[q]`` is exactly one path from ``roots[q]`` to a
+    leaf, its fields in row order, and each such path is one key: the
+    fields of a node are distinct, each edge naming one prefix of the row
+    below.
     """
+    width = _NIBBLE * n
+    mask = (1 << width) - 1
+    ids = {}  # each distinct field, in place in its key, to its id
+    nodes = []  # node i has id i + 2, after the leaves
+    items = [p.terms.items() for p in polys]  # per root, (prefix, child): first the keys and tags
+    for r in reversed(range(n)):
+        shift = width * r
+        low = (1 << shift) - 1
+        level = {}
+        base = len(nodes) + 2
+        for q, pairs in enumerate(items):
+            groups = collections.defaultdict(list)
+            for key, child in pairs:
+                groups[key & low].append(child << width | key >> shift)
+            items[q] = [
+                (prefix, level.setdefault(tuple(sorted(edges)), base + len(level)))
+                for prefix, edges in groups.items()
+            ]
+        nodes += [
+            tuple((ids.setdefault((e & mask) << shift, len(ids)), e >> width) for e in node)
+            for node in level
+        ]
+    supports, indices = zip(*map(_nibbles, ids)) if ids else ((), ())
+    pad = (n * n,) * 2
+    reads = tuple(itemgetter(*(i + pad)[:max(len(i), 2)]) for i in indices)
+    roots = tuple(pairs[0][1] if pairs else None for pairs in items)
+    return supports, reads, tuple(nodes), roots
+
+
+def _compiled(p):
+    """The one-root DAG of :func:`_compile` for ``p``, built on the first
+    call and kept on ``p``."""
     compiled = p._compiled
     if compiled is None:
-        n = p.n
-        width = _NIBBLE * n
-        mask = (1 << width) - 1
-        ids = {}  # each distinct field, in place in its key, to its id
-        nodes = []  # node i has id i + 2, after the leaves
-        items = p.terms.items()  # (prefix, child): first the keys and their tags
-        for r in reversed(range(n)):
-            shift = width * r
-            low = (1 << shift) - 1
-            groups = collections.defaultdict(list)
-            for key, child in items:
-                groups[key & low].append(child << width | key >> shift)
-            level = {}
-            base = len(nodes) + 2
-            items = []
-            for prefix, edges in groups.items():
-                edges.sort()
-                items.append((prefix, level.setdefault(tuple(edges), base + len(level))))
-            nodes += [
-                tuple((ids.setdefault((e & mask) << shift, len(ids)), e >> width) for e in node)
-                for node in level
-            ]
-        supports, indices = zip(*map(_nibbles, ids)) if ids else ((), ())
-        pad = (n * n,) * 2
-        reads = tuple(itemgetter(*(i + pad)[:max(len(i), 2)]) for i in indices)
-        compiled = p._compiled = (supports, reads, tuple(nodes))
+        compiled = p._compiled = _compile(p.n, (p,))
     return compiled
 
 
-def evaluate(p: Poly, A: Matrix) -> Scalar:
-    """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps.
+def _fold(dag, A):
+    """The value at the matrix ``A`` of each root of ``dag`` (see
+    :func:`_compile`), as a list of scalars; a ``None`` root gives eps.
 
-    A fold of the DAG of :func:`_compiled`, one node at a time from the
-    last row up.  Each distinct field is read once: eps if its support meets
-    an eps entry, else the sum of its entries' values, each counted by its
-    exponent, and a ghost iff its support meets a ghost entry.  A node's
-    value is the sum over its edges of field times child; a tie at the top
-    gives a ghost.  By distributivity this regroups the sum of the terms,
-    as the kernel's row DP regroups a permutation sum, and each term is
-    counted once, being one root-to-leaf path: that matters, since addition
-    is not idempotent.  A call costs the DAG's fields plus its edges, not
-    its terms times their degree.
+    One scan of the entries gives their values and the eps and ghost masks.
+    Each distinct field is read once: eps if its support meets an eps entry,
+    else the sum of its entries' values, each counted by its exponent, and a
+    ghost iff its support meets a ghost entry.  Then each node is folded
+    once, from the last row up: its value is the sum over its edges of field
+    times child, and a tie at the top gives a ghost.  By distributivity this
+    regroups the sum of the terms, as the kernel's row DP regroups a
+    permutation sum, and each term is counted once, being one path from its
+    root to a leaf: that matters, since addition is not idempotent.  A call
+    costs the DAG's fields plus its edges, however many roots share them.
     """
-    if p.n != A.n:
-        raise ValueError(f"order mismatch: polynomial {p.n} vs matrix {A.n}")
-    supports, reads, nodes = _compiled(p)
-    if not nodes:
-        return EPS
+    supports, reads, nodes, roots = dag
     entries = []
     eps_mask = ghost_mask = 0
     bit = 1
@@ -399,9 +436,29 @@ def evaluate(p: Poly, A: Matrix) -> Scalar:
                 tag = 0
         values.append(best)
         tags.append(tag)
-    if best is None:
-        return EPS
-    return Scalar(best, tag)
+    return [EPS if r is None or values[r] is None else Scalar(values[r], tags[r]) for r in roots]
+
+
+def evaluate(p: Poly, A: Matrix) -> Scalar:
+    """Value of ``p`` at the matrix ``A``; the empty polynomial gives eps.
+
+    The one-root case of :func:`_fold`, on the DAG of ``p`` alone
+    (:func:`_compiled`).  A call costs the DAG's fields plus its edges, not
+    the terms times their degree.
+    """
+    if p.n != A.n:
+        raise ValueError(f"order mismatch: polynomial {p.n} vs matrix {A.n}")
+    return _fold(_compiled(p), A)[0]
+
+
+@lru_cache(maxsize=None)
+def _claims_dag(n, ks, both):
+    """The DAG of :func:`_compile` over every polynomial that a claims trial
+    at order ``n`` evaluates for the k in the tuple ``ks``: gamma(n, k) for
+    each k, then, if ``both``, alpha(n, k) for each k and beta(n, k) for
+    each k."""
+    builds = (build_gamma, build_alpha, build_beta) if both else (build_gamma,)
+    return _compile(n, [build(n, k) for build in builds for k in ks])
 
 
 # ---------------------------------------------------------------------------
@@ -505,29 +562,32 @@ def _claims_reports(A: Matrix, ks, engine: str = "auto"):
 
     alpha(A) and beta(A) are the two sides of the surpassing check, read for
     every k from the kernel pass that :func:`matrices.conjecture_check` uses;
-    the same pass settles non-singularity.  Only gamma goes through
-    :func:`evaluate`.  Under ``engine="both"`` alpha and beta are also evaluated
-    symbolically, and a disagreement raises :class:`InternalError`.
+    the same pass settles non-singularity.  The symbolic side is one
+    :func:`_fold` of the order's DAG (:func:`_claims_dag`): gamma(A) for
+    every k, and under ``engine="both"`` alpha(A) and beta(A) for every k
+    too, from one scan of the entries; a disagreement with the kernel raises
+    :class:`InternalError`.
     """
     n = A.n
+    ks = tuple(ks)
     for k in ks:
         _check_caps(n, k, 1)
     d, sides = _surpassing_sides(A, engine)
     if not d.is_tangible:
         raise Singular("claim 3 is stated for non-singular matrices")
-    reports = []
-    for k in ks:
-        alpha_value, beta_value = sides[k]
-        if engine == "both":
-            for name, kernel, build in (("alpha", alpha_value, build_alpha),
-                                        ("beta", beta_value, build_beta)):
-                symbolic = evaluate(build(n, k), A)
-                if kernel != symbolic:
+    symbolic = _fold(_claims_dag(n, ks, engine == "both"), A)
+    if engine == "both":
+        for name, column in (("alpha", 0), ("beta", 1)):
+            for k, value in zip(ks, symbolic[(column + 1) * len(ks):]):
+                kernel = sides[k][column]
+                if kernel != value:
                     raise InternalError(
                         f"{name}_{{{n},{k}}}(A) disagrees: kernel {kernel.token}, "
-                        f"symbolic {symbolic.token}"
+                        f"symbolic {value.token}"
                     )
-        gamma_value = evaluate(build_gamma(n, k), A)
+    reports = []
+    for k, gamma_value in zip(ks, symbolic):
+        alpha_value, beta_value = sides[k]
         reports.append((
             Claim3Report(n=n, k=k, beta_value=beta_value, gamma_value=gamma_value),
             DecompositionReport(

@@ -11,7 +11,7 @@ import pytest
 
 from supertrop import Scalar, matrices, mul, polynomials, tangible
 from supertrop.cli import main, parse_ks, parse_n_range, parse_probs
-from supertrop.harness import MODE_TABLE
+from supertrop.harness import MODE_TABLE, MODES
 
 
 class TestParsers:
@@ -190,6 +190,14 @@ class TestMain:
         path.write_text("4\n" + "0t 1t 2t 3t\n" * 3 + "3t 2t 1t 0t\n")
         assert main(["--mode", "conjecture", "--allow-singular", "--input", str(path), "--k", "4"]) == 0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_ks_filter_exits_2(self, mode, capsys):
+        # An empty --k is parsed like any other, not read as no filter.
+        assert main(["--mode", mode, "--n", "2", "--trials", "1", "--k", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "supertrop: config error: bad integer ''\n"
+
     @pytest.mark.parametrize(
         "argv, singular, invertible",
         [
@@ -361,13 +369,41 @@ class TestMain:
         assert main(["--mode", "oracle", "--input", str(path)]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("engine", ["auto", "both"])
+    @pytest.mark.parametrize(
+        "n, full, subset",
+        [("2..4", None, "1,3"), ("2..4", None, "2,4"), ("5", "1,2,3", "1,3"), ("5", "1,2,3", "2")],
+    )
+    def test_claims_k_filter_keeps_the_unfiltered_results(self, n, full, subset, engine, capsys):
+        # Each filtered trial line is the unfiltered one with only the kept
+        # k in its results, byte for byte: the one fold per matrix hands
+        # each k its own root.
+        def lines(ks):
+            argv = ["--mode", "claims", "--n", n, "--trials", "9", "--seed", "42", "--engine", engine]
+            assert main(argv + ([] if ks is None else ["--k", ks])) == 0
+            return capsys.readouterr().out.splitlines()
+
+        keep = parse_ks(subset)
+        expected = []
+        for line in lines(full):
+            record = json.loads(line)
+            if record["type"] == "symbolic":
+                if record["k"] in keep:
+                    expected.append(line)
+                continue
+            record["results"] = [r for r in record["results"] if r["k"] in keep]
+            record["ok"] = all(r["holds"] for r in record["results"])
+            expected.append(json.dumps(record, separators=(",", ":")))
+        assert lines(subset) == expected
+        assert len(expected) > 9
+
     @pytest.mark.parametrize("side", ["kernel", "symbolic"])
     def test_claims_symbolic_disagreement_exits_3(self, side, monkeypatch, capsys):
         if side == "kernel":
             monkeypatch.setattr(matrices, "det_power", lambda d, m: tangible(999))
         else:
-            evaluate = polynomials.evaluate
-            monkeypatch.setattr(polynomials, "evaluate", lambda p, A: mul(tangible(1), evaluate(p, A)))
+            fold = polynomials._fold
+            monkeypatch.setattr(polynomials, "_fold", lambda dag, A: [mul(tangible(1), s) for s in fold(dag, A)])
         code = main(["--mode", "claims", "--n", "2", "--trials", "1", "--engine", "both"])
         assert code == 3
         err = capsys.readouterr().err

@@ -35,10 +35,13 @@ from supertrop.matrices import _surpassing_sides, adjoint, is_nonsingular
 from supertrop.polynomials import (
     SYMBOLIC_KMAX,
     Poly,
+    _claims_dag,
     _claims_reports,
+    _compile,
     _compiled,
     _exists_addend,
     _exponents,
+    _fold,
     _variable_cells,
     poly_det,
     unit_poly,
@@ -130,23 +133,29 @@ def evaluate_by_terms(p, A):
     return Scalar(best_value, best_tag)
 
 
-def dag_terms(p):
-    """The ``(key, tag)`` of every root-to-leaf path of the DAG of ``p``,
-    sorted; a path's key is the sum of its fields' keys.  Each field is read
-    back through its getter from the flat indices themselves, and its
+def dag_paths(dag, n):
+    """Per root of ``dag``, the ``(key, tag)`` of every path from it to a
+    leaf, sorted; a path's key is the sum of its fields' keys.  Each field is
+    read back through its getter from the flat indices themselves, and its
     support must be its key's; no node may be interned twice."""
-    supports, reads, nodes = _compiled(p)
-    size = p.n * p.n
+    supports, reads, nodes, roots = dag
+    size = n * n
     keys = []
     for support, read in zip(supports, reads):
         indices = [i for i in read(range(size + 1)) if i < size]
         keys.append(sum(1 << 4 * i for i in indices))
-        assert support == sum(1 << i for i in set(indices)), p
-    assert len(set(nodes)) == len(nodes), p
+        assert support == sum(1 << i for i in set(indices)), dag
+    assert len(set(nodes)) == len(nodes), dag
     paths = [[(0, 0)], [(0, 1)]]  # per node id, its paths: the leaves first
     for node in nodes:
         paths.append([(keys[f] + key, tag) for f, c in node for key, tag in paths[c]])
-    return sorted(paths[-1]) if nodes else []
+    return [[] if r is None else sorted(paths[r]) for r in roots]
+
+
+def dag_terms(p):
+    """The paths of the one-root DAG of ``p``, as :func:`dag_paths`."""
+    (terms,) = dag_paths(_compiled(p), p.n)
+    return terms
 
 
 def fraction_matrices(seed, count, n):
@@ -162,6 +171,43 @@ def fraction_matrices(seed, count, n):
         ])
         for _ in range(count)
     ]
+
+
+#: Entry distributions ``(tangible, ghost, eps)`` of the draws the fold is
+#: checked on, beside the default one.
+GHOST_HEAVY = (Fraction(40, 100), Fraction(50, 100), Fraction(10, 100))
+EPS_HEAVY = (Fraction(50, 100), Fraction(10, 100), Fraction(40, 100))
+
+
+def fold_matrices(seed, count, n):
+    """``count`` matrices of each kind the order DAG is checked on: default
+    draws, ghost-heavy and eps-heavy draws of values in -1..1 and -2..2, and
+    Fraction-valued matrices."""
+    rng = Xorshift64Star(seed)
+    return (
+        [random_matrix(rng, n, 4) for _ in range(count)]
+        + [random_matrix(rng, n, 1, GHOST_HEAVY) for _ in range(count)]
+        + [random_matrix(rng, n, 2, EPS_HEAVY) for _ in range(count)]
+        + fraction_matrices(seed + 1, count, n)
+    )
+
+
+def claims_polys(n, ks):
+    """The roots of the both-engine order DAG, in its order: gamma, alpha,
+    then beta, each for every k in ``ks``."""
+    return [build(n, k) for build in (build_gamma, build_alpha, build_beta) for k in ks]
+
+
+def check_order_dag(n, matrices):
+    """Every root of the both-engine DAG of order ``n`` over its built k,
+    folded at each of ``matrices``, against the term walk and
+    :func:`evaluate` of its polynomial."""
+    ks = tuple(range(1, SYMBOLIC_KMAX[n] + 1))
+    dag = _claims_dag(n, ks, True)
+    polys = claims_polys(n, ks)
+    for M in matrices:
+        expected = [evaluate_by_terms(p, M) for p in polys]
+        assert _fold(dag, M) == expected == [evaluate(p, M) for p in polys], M
 
 
 def exps(n, *pairs):
@@ -316,6 +362,17 @@ class TestPolyArithmetic:
                 poly_mul(p, q)
             with pytest.raises(ValueError, match="exponent above 7"):
                 poly_mul(q, unit_poly(2))
+
+    def test_det_refuses_a_grid_that_could_carry(self):
+        # poly_det adds its products straight into its sums, past poly_mul's
+        # guard: the rows' largest exponents may sum to 15, not above.
+        eight = Poly(2, {exps(2, (1, 1, 8)): 1})
+        seven = Poly(2, {exps(2, (1, 1, 7)): 0})
+        zero = zero_poly(2)
+        assert poly_det([[eight, zero], [zero, seven]], 2).terms == {exps(2, (1, 1, 15)): 0}
+        for grid in ([[eight, zero], [zero, eight]], [[zero, eight], [eight, unit_poly(2)]]):
+            with pytest.raises(ValueError, match="sum above 15"):
+                poly_det(grid, 2)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -537,7 +594,7 @@ class TestEvaluate:
         sizes = {}
         for k in (2, 3):
             for build in (build_alpha, build_beta):
-                supports, _, nodes = _compiled(build(5, k))
+                supports, _, nodes, _ = _compiled(build(5, k))
                 sizes[build.__name__, k] = (len(supports), len(nodes), sum(map(len, nodes)))
         assert sizes == {
             ("build_alpha", 2): (100, 478, 2843),
@@ -574,6 +631,73 @@ class TestEvaluate:
         assert (evaluate(p, M), evaluate(q, M)) == (tangible(2), ghost(2))
         assert _compiled(p) is _compiled(p) and _compiled(p) != _compiled(q)
         assert p == Poly(2, dict(p.terms)) and hash(p) == hash(Poly(2, dict(p.terms)))
+
+
+#: Fields and edges of the DAG of gamma(n, k) over k = 1..n: one DAG for
+#: the order, and the one-root DAGs of the k summed.
+GAMMA_DAG_SIZES = {2: ((5, 7), (7, 8)), 3: ((25, 50), (37, 56)), 4: ((85, 405), (121, 426))}
+
+
+class TestOrderDag:
+    def test_roots_equal_term_by_term(self):
+        # alpha, beta and gamma at every built k, as the roots of one DAG.
+        # One ghost-heavy draw at order 5; a CI step runs every kind there.
+        for n in range(1, 5):
+            check_order_dag(n, fold_matrices(1100 + n, 8 if n < 4 else 3, n))
+        check_order_dag(5, [random_matrix(Xorshift64Star(1105), 5, 1, GHOST_HEAVY)])
+
+    def test_paths_rebuild_each_root(self):
+        # Each root's paths are exactly its polynomial's terms, tags
+        # included, although nodes are shared across the roots.
+        for n, ks in [(n, tuple(range(1, n + 1))) for n in range(1, 5)] + [(5, (1, 2))]:
+            polys = claims_polys(n, ks)
+            assert dag_paths(_claims_dag(n, ks, True), n) == [sorted(p.terms.items()) for p in polys], n
+
+    def test_edge_case_roots(self):
+        # The zero and unit polynomials, one polynomial given as two roots,
+        # and two polynomials on the same monomials with different tags,
+        # whose nodes must not be interned as one.
+        beta = build_beta(3, 3)
+        untagged = Poly(3, dict.fromkeys(beta.terms, 1))
+        assert sorted(beta.terms.values()) != sorted(untagged.terms.values())
+        polys = [zero_poly(3), beta, unit_poly(3), untagged, beta]
+        dag = _compile(3, polys)
+        roots = dag[3]
+        assert roots[0] is None and roots[1] == roots[4] != roots[3]
+        assert dag_paths(dag, 3) == [sorted(p.terms.items()) for p in polys]
+        for M in fold_matrices(1200, 8, 3):
+            assert _fold(dag, M) == [evaluate_by_terms(p, M) for p in polys], M
+        assert _fold(_compile(2, [zero_poly(2)]), A) == [EPS] and _fold(_compile(2, []), A) == []
+
+    def test_gamma_dag_sizes(self):
+        # The fields and edges that one fold per matrix reads, against the
+        # per-k DAGs that it replaces.
+        sizes = {}
+        for n in GAMMA_DAG_SIZES:
+            ks = tuple(range(1, n + 1))
+            supports, _, nodes, _ = _claims_dag(n, ks, False)
+            per_k = [_compiled(build_gamma(n, k)) for k in ks]
+            sizes[n] = (
+                (len(supports), sum(map(len, nodes))),
+                (sum(len(c[0]) for c in per_k), sum(len(e) for c in per_k for e in c[2])),
+            )
+        assert sizes == GAMMA_DAG_SIZES
+
+    @pytest.mark.parametrize("engine", ["auto", "both"])
+    def test_one_fold_per_matrix(self, engine, monkeypatch):
+        # A trial folds its order's DAG once, whatever the k, and calls no
+        # evaluate.
+        folds = []
+        fold = polynomials._fold
+        monkeypatch.setattr(polynomials, "_fold", lambda dag, M: folds.append(dag) or fold(dag, M))
+        monkeypatch.setattr(polynomials, "evaluate", None)
+        for n in (2, 3, 4):
+            M = next(M for M in seeded_matrices(1300 + n, 20, n) if is_nonsingular(M))
+            ks = (1, 3, 4)[:n - 1]
+            folds.clear()
+            reports = _claims_reports(M, list(ks), engine)
+            assert [c3.k for c3, _ in reports] == list(ks)
+            assert folds == [_claims_dag(n, ks, engine == "both")]
 
 
 class TestClaims:
