@@ -14,23 +14,27 @@ Three determinant engines with an identical output contract:
 * the assignment engine solves the max-weight perfect-matching problem on
   the value grid with exact arithmetic, by Dijkstra searches for shortest
   paths against dual-feasible potentials.  Three drivers share them: the
-  determinant augments every row from the empty matching (O(n^3)); the
-  principal minors walk the subset lattice, each minor one augmentation
-  (O(m^2) at order m) from the minor one index smaller, and skip every
-  subtree whose weak-duality bound (the row-then-column reduction of the
-  cost grid, O(n^2)) is strictly above the cheapest minor seen at each
-  order it reaches; the cofactors start from the whole matrix's optimum,
-  one search per column to completion.  Uniqueness of a minor's optimal
-  permutation, and so its tangible/ghost tag, is read off the potentials
-  it ends with (no cycle among the tight edges, an O(m^2) search).  That
-  search runs for the determinant, for at most one principal minor per
-  order k (the unique top minor of ``chi_k``, as the tags of the others
-  cannot reach the sum), and for every cofactor of a ghost or eps
-  determinant, O(n^4) in all.  A tangible determinant's optimum is
-  unique, so each cofactor's optima are it flipped along a shortest path
-  of its column's search, and all n^2 cofactors are read off the n
-  shortest-path trees (value, eps and tag from the path, uniqueness from
-  counting the tight predecessors of each column on it), O(n^3) in all.
+  determinant augments every row from the empty matching (O(n^3)) and is
+  kept on the matrix with its raw and cost grids; the principal minors walk
+  the subset lattice, each minor one augmentation (O(m^2) at order m) from
+  the minor one index smaller, and skip every subtree whose weak-duality
+  bound is strictly above the cheapest minor seen at each order it reaches.
+  A matrix's walk reuses its determinant's grids and is bounded by that
+  solve's optimal dual, feasible for the whole grid and tight on it; the
+  adjoint's grid, which has no solve, is bounded by its row-then-column
+  reduction dual (O(n^2)).  The cofactors start from the whole matrix's
+  optimum, one search per column to completion.  Uniqueness of a minor's
+  optimal permutation, and so its tangible/ghost tag, is read off the
+  potentials it ends with (no cycle among the tight edges, an O(m^2)
+  search).  That search runs for the determinant, for at most one
+  principal minor per order k (the unique top minor of ``chi_k``, as the
+  tags of the others cannot reach the sum), and for every cofactor of a
+  ghost or eps determinant, O(n^4) in all.  A tangible determinant's
+  optimum is unique, so each cofactor's optima are it flipped along a
+  shortest path of its column's search, and all n^2 cofactors are read off
+  the n shortest-path trees (value, eps and tag from the path, uniqueness
+  from counting the tight predecessors of each column on it), O(n^3) in
+  all.
 
 One table, ``_ENGINES``, holds every engine by name (:data:`ENGINES`) as
 three functions on raw ``(value, tag)``/``None`` cells: the determinant of a
@@ -253,9 +257,9 @@ def _brute_cofactors(A):
     return d, cof
 
 
-def _brute_sums(raw):
+def _brute_sums(raw, A=None):
     """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
-    ``raw``, each minor folded on its own."""
+    ``raw``, each minor folded on its own; ``A`` is ignored."""
     n = len(raw)
     sums = [_UNIT] + [None] * n
     for k in range(1, n + 1):
@@ -379,6 +383,10 @@ def _best_assignment(cost):
 
     Returns the state ``(u, v, row_of, col_of)``: optimal potentials and a
     matching that is optimal against them, as :func:`_augment` keeps them.
+    Every search runs over all columns, and a row not yet augmented keeps
+    ``u = 0`` while ``v`` only falls, so no reduced cost of the whole grid,
+    eps entries included, is ever negative: the potentials are a feasible
+    dual of every principal minor too (:func:`_principal_states`).
     """
     n = len(cost)
     state = ([0] * n, [0] * n, [-1] * n, [-1] * n)
@@ -388,47 +396,60 @@ def _best_assignment(cost):
     return state
 
 
-def _principal_states(cost, bounded=False):
-    """The principal-minor driver: ``(S, state)`` for every non-empty index
-    tuple ``S``, with ``state`` optimal for the minor on ``S``; with
-    ``bounded``, only for the minors that can still be the cheapest of
-    their order.
+def _reduction_bound(cost):
+    """``g_i = u_i + v_i`` for the row-then-column reduction dual of the cost
+    grid ``cost``, ``u_i = min_j cost[i][j]`` and ``v_j = min_i (cost[i][j] -
+    u_i)``: feasible for the whole grid, so a bound for
+    :func:`_principal_states` on a grid with no solve of its own.  O(n^2).
+    """
+    low = [min(row) for row in cost]
+    return [low[i] + min([row[i] - b for row, b in zip(cost, low)]) for i in range(len(cost))]
+
+
+def _principal_states(cost, g, bounded=False):
+    """The principal-minor driver: ``(S, paid, state)`` for every non-empty
+    index tuple ``S``, with ``state`` optimal for the minor on ``S`` and
+    ``paid`` its cost; with ``bounded``, only for the minors that can still
+    be the cheapest of their order.
+
+    ``g`` is ``g_i = u_i + v_i`` for a dual ``(u, v)`` feasible for the
+    whole grid (no reduced cost ``cost[i][j] - u_i - v_j`` is negative, eps
+    entries included): the assignment solve's optimal dual
+    (:func:`_best_assignment`) for a matrix that has one, else
+    :func:`_reduction_bound`.  Such a dual is feasible for every minor, so a
+    minor on ``T`` costs at least the sum of ``g`` over ``T`` (weak
+    duality); the whole grid's optimal dual makes that sum tight on the
+    whole index set.
 
     The subset lattice is walked depth first, over the indices sorted by
-    their bound ``g`` (below) and each minor's children smallest ``g``
-    first, so ``S`` lists its indices in that order.  The child ``S + (t,)``
-    copies the state of ``S``, sets ``v[t]`` and then ``u[t]`` to the
-    largest values that keep every reduced cost into column ``t`` and out
-    of row ``t`` non-negative, and augments once from row ``t`` to the one
-    free column, ``t``: one O(m^2) augmentation per minor of order m.  A
-    minor's cost is the sum of its potentials, as every matched edge is
-    tight.  The augmentation moves each scanned column and its row by
-    opposite amounts and only ``u[t]`` by the path's length, so the child
-    costs its parent's cost plus its final ``u[t] + v[t]``.
+    ``g`` and each minor's children smallest ``g`` first, so ``S`` lists
+    its indices in that order.  The child ``S + (t,)`` copies the state of
+    ``S``, sets ``v[t]`` and then ``u[t]`` to the largest values that keep
+    every reduced cost into column ``t`` and out of row ``t`` non-negative,
+    and augments once from row ``t`` to the one free column, ``t``: one
+    O(m^2) augmentation per minor of order m.  A minor's cost is the sum of
+    its potentials, as every matched edge is tight.  The augmentation moves
+    each scanned column and its row by opposite amounts and only ``u[t]`` by
+    the path's length, so the child costs its parent's cost plus its final
+    ``u[t] + v[t]``.
 
-    The bound is the row-then-column reduction dual of the whole grid,
-    ``u_i = min_j cost[i][j]`` and ``v_j = min_i (cost[i][j] - u_i)``: it is
-    feasible for every minor, so a minor on ``T`` costs at least the sum of
-    ``g_i = u_i + v_i`` over ``T`` (weak duality).  A minor below ``T`` of
-    order k' adds k' - |T| indices after ``T``'s last position, so it costs
-    at least that sum plus the k' - |T| smallest ``g`` there, the next ones
-    in the walk.  A bounded walk skips ``T``, and its whole subtree, when
-    that bound is strictly above the least cost seen at every order k' it
-    reaches; an order with no minor seen yet, or a bound equal to the least
-    cost (a tie makes a ghost), keeps ``T``.  Once two minors of an order
-    share its least cost, that order's sum is already a ghost of their value
-    (or eps, when that cost is the grid's ``forbidden`` or more) and one more
-    minor of the same cost cannot change it, so until a cheaper minor
-    appears the bound there must be strictly below the least cost.  Its
-    later siblings are then skipped too, as each of their bounds is at
-    least ``T``'s.
+    A minor below ``T`` of order k' adds k' - |T| indices after ``T``'s last
+    position, so it costs at least the sum of ``g`` over ``T`` plus the
+    k' - |T| smallest ``g`` there, the next ones in the walk.  A bounded walk
+    skips ``T``, and its whole subtree, when that bound is strictly above the
+    least cost seen at every order k' it reaches; an order with no minor
+    seen yet, or a bound equal to the least cost (a tie makes a ghost),
+    keeps ``T``.  Once two minors of an order share its least cost, that
+    order's sum is already a ghost of their value (or eps, when that cost is
+    the grid's ``forbidden`` or more) and one more minor of the same cost
+    cannot change it, so until a cheaper minor appears the bound there must
+    be strictly below the least cost.  Its later siblings are then skipped
+    too, as each of their bounds is at least ``T``'s.
 
     Each yielded state is a fresh copy that nothing changes afterwards (the
     minors below it copy it in turn), so a caller may keep any of them.
     """
     n = len(cost)
-    low = [min(row) for row in cost]
-    g = [low[i] + min([row[i] - b for row, b in zip(cost, low)]) for i in range(n)]
     order = sorted(range(n), key=g.__getitem__)
     prefix = list(itertools.accumulate([g[t] for t in order], initial=0))
     least = [None] * (n + 1)  # least[k]: the least cost of a minor of order k seen so far
@@ -457,8 +478,8 @@ def _principal_states(cost, bounded=False):
         row = cost[t]
         u[t] = min([row[j] - v[j] for j in T])
         _augment(cost, u, v, row_of, col_of, T, t)
-        yield T, child
         paid_t = paid + u[t] + v[t]
+        yield T, paid_t, child
         if least[m] is None or paid_t < least[m]:
             least[m] = paid_t
             tied[m] = False
@@ -652,44 +673,50 @@ def _assignment_cofactors(A):
     return d, cof
 
 
-def _assignment_sums(raw):
+def _assignment_sums(raw, A=None):
     """``sums[k]``: the sum of all principal k-by-k minors of the raw grid
     ``raw``, one augmentation per minor that the bounded walk of
     :func:`_principal_states` solves.
 
+    Given the matrix ``A`` of ``raw``, the walk takes the raw and cost grids
+    of the determinant's solve kept on ``A`` (:func:`_assignment_table`) and
+    is bounded by its optimal dual; a grid with no matrix, the adjoint's, is
+    bounded by its reduction dual (:func:`_reduction_bound`).
+
     Only the top minors of an order decide its sum: two tied at the top give
     a ghost, a single one passes its own tag on, and every lower minor's tag
-    is lost.  So the walk may skip any minor that costs strictly more than
-    one already seen at its order, or as much as two tied ones (a minor's
-    value is its order times the grid's largest value, less its cost), and
-    it reads each minor it solves off its optimum (:func:`_optimum`, no
-    search), keeping, per order, the best value, whether it is tied, and
-    the winning ``(S, state)``.  The cycle search of :func:`_minor_value`
-    then runs only for an order whose top minor is unique with tangible
-    entries along its optimum: at most one search per order.  Addition is
-    associative and commutative, so this is exactly the :func:`_radd` fold
-    of every minor.
+    is lost.  A minor's value is its order times the grid's largest value,
+    less its cost, and a minor that takes an eps entry costs more than any
+    that does not, so the cheapest minors of an order are its top ones.  The
+    walk skips any minor that costs strictly more than one already seen at
+    its order, or as much as two tied ones, and keeps, per order, the least
+    cost the walk reports, whether it is tied, and the first ``(S, state)``
+    at that cost.  Each order's winner is read once at the end: a tied one
+    off its optimum (:func:`_optimum`, no search), a ghost of its value, or
+    eps; a unique one by :func:`_minor_value`, whose cycle search runs only
+    when its optimum has tangible entries.  Addition is associative and
+    commutative, so this is exactly the :func:`_radd` fold of every minor.
     """
-    cost = _assignment_grid(raw)
-    top = [None] * (len(raw) + 1)  # top[k]: [value, tag (0 once tied), S, state] of the best
-    for S, state in _principal_states(cost, bounded=True):
-        best = _optimum(raw, state[3], S)
-        if best is None:
-            continue
-        k = len(S)
-        t = top[k]
-        if t is None or best[0] > t[0]:
-            top[k] = [best[0], best[1], S, state]
-        elif best[0] == t[0]:
-            t[1] = 0
+    if A is None:
+        cost = _assignment_grid(raw)
+        g = _reduction_bound(cost)
+    else:
+        raw, cost, (u, v, _, _), _ = _assignment_table(A)
+        g = list(map(operator.add, u, v))
+    top = [None] * (len(raw) + 1)  # top[k]: [cost, tied, S, state] of the cheapest
+    for S, paid, state in _principal_states(cost, g, bounded=True):
+        t = top[len(S)]
+        if t is None or paid < t[0]:
+            top[len(S)] = [paid, False, S, state]
+        elif paid == t[0]:
+            t[1] = True
     sums = [_UNIT]
-    for t in top[1:]:
-        if t is None:
-            sums.append(None)
-        elif t[1]:
-            sums.append(_minor_value(raw, cost, t[3], t[2], t[2]))
+    for _, tied, S, state in top[1:]:
+        if tied:
+            best = _optimum(raw, state[3], S)
+            sums.append(None if best is None else (best[0], 0))
         else:
-            sums.append((t[0], 0))
+            sums.append(_minor_value(raw, cost, state, S, S))
     return sums
 
 
@@ -801,8 +828,9 @@ def _cofactor_dp(A):
     return P[full], cof
 
 
-def _principal_sums(raw):
-    """``sums[k]``: the sum of all principal k-by-k minors, k = 0..n.
+def _principal_sums(raw, A=None):
+    """``sums[k]``: the sum of all principal k-by-k minors, k = 0..n;
+    ``A`` is ignored.
 
     One row DP of ``det(A + lambda I)``: ``f[S][d]`` is the sum over the
     assignments of rows ``0..|S|-1`` onto the column set ``S`` in which ``d``
@@ -863,8 +891,13 @@ def _principal_sums(raw):
 # * ``cofactors(A)``: ``(det, cof)``, the raw determinant of ``A`` and its
 #   raw cofactor grid, ``cof[i][j]`` the minor without row ``i`` and column
 #   ``j`` (0-based), as a list of lists;
-# * ``sums(raw)``: ``sums[k]`` for k = 0..n, the sum of all principal k-by-k
-#   minors of the raw grid ``raw`` (rows may be any sequences), as a list.
+# * ``sums(raw, A=None)``: ``sums[k]`` for k = 0..n, the sum of all principal
+#   k-by-k minors of the raw grid ``raw`` (rows may be any sequences), as a
+#   list.  ``A``, when given, is the Matrix whose raw grid ``raw`` is: the
+#   assignment engine then reads the raw grid, cost grid and optimal dual of
+#   the solve kept on ``A`` (building it if ``det`` has not), and the other
+#   engines ignore it.  A grid with no matrix, such as the adjoint's raw
+#   cofactor grid, comes without one.
 #
 # On equal input every engine returns equal raw cells, ghost tags included.
 # Brute force refuses an order above BRUTE_CAP on each determinant it folds.
@@ -911,7 +944,7 @@ def _both_cofactors(A):
 _ENGINES["both"] = _Engine(
     lambda A: _agreed("determinant engines", [leg.det(A) for leg in _legs()]),
     _both_cofactors,
-    lambda raw: _agreed("characteristic coefficients", [leg.sums(raw) for leg in _legs()]),
+    lambda raw, A=None: _agreed("characteristic coefficients", [leg.sums(raw, A) for leg in _legs()]),
 )
 
 #: The determinant engines, by name: one entry each in the engine table.
@@ -985,7 +1018,7 @@ def adjoint(A: Matrix, engine: str = "auto") -> Matrix:
 
 def char_poly(A: Matrix, engine: str = "auto") -> CharPoly:
     """All characteristic coefficients of ``A``: sums of principal minors."""
-    return CharPoly(A.n, tuple(map(_scalar, _engine(engine).sums(_raw(A.rows)))))
+    return CharPoly(A.n, tuple(map(_scalar, _engine(engine).sums(_raw(A.rows), A))))
 
 
 def pseudoinverse(A: Matrix, engine: str = "auto") -> Matrix:
@@ -1024,14 +1057,15 @@ def _surpassing_sides(A, engine):
     and ``sides[0]`` is ``None`` unless ``det A`` is tangible.
 
     The raw cofactor grid, transposed, goes straight to the sums function, so
-    ``adj A`` is never built as a matrix of scalars.
+    ``adj A`` is never built as a matrix of scalars; ``chi(A)``'s pass is
+    handed ``A`` itself, whose kept solve the assignment engine reuses.
     """
     n = A.n
     engine = _engine(engine)
     d, cof = engine.cofactors(A)
     d = _scalar(d)
     chi_adj = tuple(map(_scalar, engine.sums(list(zip(*cof)))))
-    chi = tuple(map(_scalar, engine.sums(_raw(A.rows))))
+    chi = tuple(map(_scalar, engine.sums(_raw(A.rows), A)))
     sides = [
         (chi_adj[k], mul(det_power(d, k - 1), chi[n - k])) if k or d.is_tangible else None
         for k in range(n + 1)

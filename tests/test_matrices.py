@@ -29,6 +29,7 @@ from supertrop import (
 from supertrop import matrices
 from supertrop.harness import DEFAULT_PROBS, random_matrix
 from supertrop.rng import Xorshift64Star
+from test_polynomials import fraction_matrices
 
 A = parse_matrix("2\n3t 0t\n1t 4t\n")
 TIED = parse_matrix("2\n1t 2t\n0t 1t\n")
@@ -170,7 +171,7 @@ class TestDeterminants:
         # ``auto`` runs no shortest-path search at any order, and its det,
         # adjoint and char_poly equal the assignment engine's minor by minor.
         sizes = count_dijkstras(monkeypatch)
-        solved = iter([197, 302, 522, 532])  # of 1,023 and 2,047 principal minors
+        solved = iter([295, 155, 299, 647])  # of 1,023 and 2,047 principal minors
         for n in (10, 11):
             for M in seeded_matrices(4000 + n, 2, n, bound=3):
                 auto = (det(M), adjoint(M), char_poly(M))
@@ -391,7 +392,8 @@ class TestWarmStartedDrivers:
             M = embed_principal(F, at, filler)
             raw = matrices._raw(M.rows)
             cost = matrices._assignment_grid(raw)
-            minors = {tuple(sorted(S)): state for S, state in matrices._principal_states(cost)}
+            walk = matrices._principal_states(cost, matrices._reduction_bound(cost))
+            minors = {tuple(sorted(S)): state for S, _, state in walk}
             assert matrices._minor_value(raw, cost, minors[at], at, at) == (expected.value, expected.tag)
             assert char_poly(M, engine="assignment") == char_poly(M, engine="brute"), M
 
@@ -420,8 +422,10 @@ class TestWarmStartedDrivers:
             for probs in (DEFAULT_PROBS, self.GHOSTLY, self.SPARSE):
                 for M in seeded_matrices(8500 + n, 12, n, 1, probs):
                     raw, cost, state, _ = matrices._assignment_table(M)
-                    for S, minor in matrices._principal_states(cost):
+                    g = [a + b for a, b in zip(*state[:2])]
+                    for S, paid, minor in matrices._principal_states(cost, g):
                         assert_optimal_and_tight(raw, cost, minor, S, S)
+                        assert paid == sum(cost[i][minor[3][i]] for i in S), (M, S)
                     cofactors = list(matrices._cofactor_states(cost, state))
                     assert [(i, j) for i, j, _ in cofactors] == [(i, j) for j in range(n) for i in range(n)]
                     for i, j, (minor, rows, cols) in cofactors:
@@ -431,29 +435,38 @@ class TestWarmStartedDrivers:
     def test_augmentation_counts(self, monkeypatch):
         augmentations = count_augmentations(monkeypatch)
         sizes = count_dijkstras(monkeypatch)
+        # (under the determinant's optimal dual, under the reduction dual)
         solved = iter([
-            1, 1, 1, 1, 2, 2, 2, 2, 5, 3, 4, 6, 10, 6, 8, 7,
-            15, 8, 14, 14, 37, 31, 22, 33, 15, 60, 12, 41,
+            (1, 1), (1, 1), (1, 1), (1, 1), (2, 2), (2, 2), (2, 2), (2, 2),
+            (5, 5), (4, 3), (4, 4), (6, 6), (10, 10), (6, 6), (7, 8), (7, 7),
+            (15, 15), (9, 8), (17, 14), (6, 14), (10, 37), (31, 31), (34, 22), (24, 33),
+            (15, 15), (60, 60), (12, 12), (58, 41),
         ])
         for n in range(1, 8):
             for M in seeded_matrices(8600 + n, 4, n, 1, self.SPARSE):
                 cost = matrices._assignment_grid(matrices._raw(M.rows))
                 # Unbounded, exactly one per non-empty principal subset, of
                 # its order.
-                walked = [frozenset(S) for S, _ in matrices._principal_states(cost)]
+                walk = matrices._principal_states(cost, matrices._reduction_bound(cost))
+                walked = [frozenset(S) for S, _, _ in walk]
                 assert len(set(walked)) == len(walked) == 2 ** n - 1, M
                 assert sorted(sizes) == sorted(augmentations) == sorted(map(len, walked)), M
                 sizes.clear()
-                # Bounded, a pinned number of them.
+                # Bounded, a pinned number of them: bounded by the optimal
+                # dual of the determinant's solve, which is kept on M, and
+                # by the reduction dual on the raw grid alone.
+                raw, cost, state, _ = matrices._assignment_table(M)
+                sizes.clear()
+                augmentations.clear()
                 char_poly(M, engine="assignment")
-                assert len(sizes) == next(solved), M
+                with_dual = len(sizes)
+                sizes.clear()
+                matrices._assignment_sums(raw)
+                assert (with_dual, len(sizes)) == next(solved), M
                 sizes.clear()
                 augmentations.clear()
                 # The cofactors: one search per column, over the other n - 1
                 # columns, and no augmentation.
-                raw, cost, state, _ = matrices._assignment_table(M)
-                sizes.clear()
-                augmentations.clear()
                 adjoint(M, engine="assignment")
                 assert sizes == [n - 1] * n and augmentations == [], M
                 sizes.clear()
@@ -464,7 +477,8 @@ class TestWarmStartedDrivers:
         # solves {1}, and its tie makes chi_1 a ghost.
         M = parse_matrix("2\n0t -5t\n-5t 0t\n")
         cost = matrices._assignment_grid(matrices._raw(M.rows))
-        assert [S for S, _ in matrices._principal_states(cost, bounded=True)] == [(0,), (0, 1), (1,)]
+        walk = matrices._principal_states(cost, matrices._reduction_bound(cost), bounded=True)
+        assert [S for S, _, _ in walk] == [(0,), (0, 1), (1,)]
         assert char_poly(M, engine="assignment") == char_poly(M, engine="brute")
         assert char_poly(M, engine="assignment").coeffs[1] == ghost(0)
 
@@ -474,8 +488,8 @@ class TestWarmStartedDrivers:
         # skips {1, 2} and {2}, whose bounds equal those costs.
         M = parse_matrix("3\n0t -5t -5t\n-5t 0t -5t\n-5t -5t 0t\n")
         cost = matrices._assignment_grid(matrices._raw(M.rows))
-        walked = [S for S, _ in matrices._principal_states(cost, bounded=True)]
-        assert walked == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,)]
+        walk = matrices._principal_states(cost, matrices._reduction_bound(cost), bounded=True)
+        assert [S for S, _, _ in walk] == [(0,), (0, 1), (0, 1, 2), (0, 2), (1,)]
         assert char_poly(M, engine="assignment") == char_poly(M, engine="brute")
         assert char_poly(M, engine="assignment").coeffs == (tangible(0), ghost(0), ghost(0), tangible(0))
 
@@ -587,6 +601,94 @@ class TestWarmStartedDrivers:
             assert {M: 1}[fresh] == 1
 
 
+def minor_costs(cost):
+    """The least cost of every principal minor of the cost grid ``cost``, by
+    its index tuple, over all of the minor's permutations."""
+    n = len(cost)
+    return {
+        T: min(sum(cost[i][j] for i, j in zip(T, perm)) for perm in itertools.permutations(T))
+        for k in range(1, n + 1)
+        for T in itertools.combinations(range(n), k)
+    }
+
+
+class TestWalkBounds:
+    """The bound each principal-minor walk is handed: on a matrix, the
+    optimal dual ``g_i = u_i + v_i`` of its determinant's solve; on the
+    adjoint's grid, which has no solve, the row-then-column reduction dual.
+    Either must bound every principal minor's cost from below."""
+
+    GHOSTLY = TestWarmStartedDrivers.GHOSTLY
+    SPARSE = TestWarmStartedDrivers.SPARSE
+
+    def drawn(self, n):
+        """Seeded default, ghost-heavy, eps-heavy, tie-heavy (values in
+        -1..1) and Fraction-valued matrices of order ``n``."""
+        count = 10 if n <= 4 else 4
+        return (
+            seeded_matrices(9700 + n, count, n)
+            + seeded_matrices(9710 + n, count, n, 1, self.GHOSTLY)
+            + seeded_matrices(9720 + n, count, n, 2, self.SPARSE)
+            + seeded_matrices(9730 + n, count, n, 1)
+            + fraction_matrices(9740 + n, count, n)
+        )
+
+    def test_every_minor_costs_at_least_its_bound(self, monkeypatch):
+        seen = []
+        real = matrices._principal_states
+        monkeypatch.setattr(
+            matrices, "_principal_states", lambda cost, g, bounded=False:
+            seen.append((cost, g)) or real(cost, g, bounded)
+        )
+        kinds = set()
+        for n in range(1, 7):
+            for M in self.drawn(n):
+                seen.clear()
+                report = conjecture_check(M, "assignment", allow_singular=True)
+                kinds.add("eps" if report.det.tag is None else report.det.is_tangible)
+                raw, cost, (u, v, _, _), _ = M._assign
+                # One walk on A's own cost grid, under its solve's dual, and
+                # one on the adjoint's, under that grid's reduction dual.
+                (mine,) = [g for grid, g in seen if grid is cost]
+                ((adj_cost, adj_g),) = [(grid, g) for grid, g in seen if grid is not cost]
+                assert mine == [a + b for a, b in zip(u, v)], M
+                assert adj_g == matrices._reduction_bound(adj_cost), M
+                for grid, g in seen:
+                    least = minor_costs(grid)
+                    for T, paid in least.items():
+                        assert paid >= sum(g[i] for i in T), (M, grid is cost, T)
+                # The solve's dual is tight on the whole index set.
+                assert minor_costs(cost)[tuple(range(n))] == sum(mine), M
+                assert char_poly(M, "assignment") == char_poly(M, "brute"), M
+        assert kinds == {"eps", True, False}
+
+    def test_solved_minors_of_the_seeded_workload(self, monkeypatch, capsys):
+        # The conjecture-assign benchmark workload at seed 42: of its 12,000
+        # principal minors, A's walks solve 2,183 under the optimal duals
+        # (2,512 under the reduction dual) and the adjoint's walks 1,946.
+        from supertrop.cli import main
+
+        counts = {"matrix": 0, "adjoint": 0}
+        walked = [None]
+        entry = matrices._ENGINES["assignment"]
+        real = matrices._principal_states
+
+        def sums(raw, A=None):
+            walked[0] = "adjoint" if A is None else "matrix"
+            return entry.sums(raw, A)
+
+        def walk(cost, g, bounded=False):
+            for minor in real(cost, g, bounded):
+                counts[walked[0]] += 1
+                yield minor
+
+        monkeypatch.setitem(matrices._ENGINES, "assignment", entry._replace(sums=sums))
+        monkeypatch.setattr(matrices, "_principal_states", walk)
+        argv = "--mode conjecture --n 1..6 --trials 300 --engine assignment --seed 42"
+        assert main(argv.split()) == 0
+        assert counts == {"matrix": 2183, "adjoint": 1946}
+
+
 def off(p):
     """A raw cell other than ``p``."""
     return None if p == (999, 1) else (999, 1)
@@ -608,7 +710,7 @@ def broken(engine, quantity):
             return d, [[off(cof[0][0])] + cof[0][1:]] + cof[1:]
 
         return engine._replace(cofactors=cofactors)
-    return engine._replace(sums=lambda raw: engine.sums(raw)[:-1] + [off(engine.sums(raw)[-1])])
+    return engine._replace(sums=lambda raw, A=None: engine.sums(raw, A)[:-1] + [off(engine.sums(raw, A)[-1])])
 
 
 class TestBothCrossCheck:
@@ -834,14 +936,19 @@ class TestConjecture:
         for name in ("auto", "brute", "assignment"):
             entry = matrices._ENGINES[name]
 
-            def sums(raw, name=name, real=entry.sums):
-                seen.append((name, [list(row) for row in raw]))
-                return real(raw)
+            def sums(raw, A=None, name=name, real=entry.sums):
+                seen.append((name, [list(row) for row in raw], A))
+                return real(raw, A)
 
             monkeypatch.setitem(matrices._ENGINES, name, entry._replace(sums=sums))
-        conjecture_check(Matrix(M.rows), engine)
+        fresh = Matrix(M.rows)
+        conjecture_check(fresh, engine)
+        # A's pass is handed A itself; the adjoint's grid has no matrix.
         legs = ("auto", "brute", "assignment") if engine == "both" else (engine,)
-        assert sorted(seen, key=repr) == sorted([(leg, grid) for leg in legs for grid in grids], key=repr)
+        expected = [(leg, grid, X) for leg in legs for grid, X in zip(grids, (fresh, None))]
+        assert len(seen) == len(expected)
+        for call in expected:
+            assert any(s[:2] == call[:2] and s[2] is call[2] for s in seen), call
 
     def test_k_filter_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Random draws at the default bound rarely tie, and ties are where ghost tags
 decide the verdict.  Every 2x2 matrix over {e, 0t, 0g, 1t, 1g, -1t, -1g} is
 checked on the ``both`` engine (kernel, brute force and assignment
 cross-checked, and under claims the symbolic alpha and beta too), and every
-3x3 matrix over {e, 0t, 0g} on ``auto``.  The counts of equal and
+3x3 matrix over {e, 0t, 0g} on ``auto``, where the assignment engine's
+characteristic coefficients must also equal brute force's.  The counts of equal and
 strictly-ghost cases are pinned, split by singular and non-singular matrix.
 The singular counts go beyond the paper, which states the surpassing
 relation for non-singular matrices only.
@@ -15,7 +16,7 @@ import itertools
 import pytest
 
 from supertrop import EPS, ghost, tangible
-from supertrop.matrices import _trusted, conjecture_check
+from supertrop.matrices import _trusted, char_poly, conjecture_check
 from supertrop.polynomials import _claims_reports
 
 
@@ -52,3 +53,15 @@ def sweep(alphabet, n, engine):
 )
 def test_every_small_matrix(alphabet, n, engine, non_singular, singular):
     assert sweep(alphabet, n, engine) == {False: non_singular, True: singular}
+
+
+def test_every_3x3_char_poly_on_the_assignment_engine():
+    # The walk of a matrix's principal minors is bounded by its determinant's
+    # optimal dual; ties and eps entries are everywhere on this alphabet.
+    kinds = set()
+    for cells in itertools.product((EPS, tangible(0), ghost(0)), repeat=9):
+        A = _trusted(tuple(cells[i * 3:(i + 1) * 3] for i in range(3)))
+        chi = char_poly(A, "assignment")
+        assert chi == char_poly(A, "brute"), A
+        kinds.update("eps" if s.tag is None else s.is_tangible for s in chi.coeffs)
+    assert kinds == {"eps", True, False}
